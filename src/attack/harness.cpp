@@ -1,5 +1,7 @@
 #include "attack/harness.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 
 namespace pracleak {
@@ -39,11 +41,30 @@ AttackHarness::step()
 }
 
 void
+AttackHarness::advance(Cycle end)
+{
+    const Cycle now = this->now();
+    Cycle next = end;
+    for (const Pinned &pinned : agents_)
+        next = std::min(next, pinned.agent->nextEventAt(now));
+    // An agent due now needs no channel bound, which keeps default
+    // (every-cycle) agents at lockstep cost.
+    if (next > now) {
+        for (const auto &mem : mems_)
+            next = std::min(next, mem->nextWorkAt());
+        for (auto &mem : mems_)
+            mem->skipTo(next);
+    }
+    if (next < end)
+        step();
+}
+
+void
 AttackHarness::run(Cycle cycles)
 {
     const Cycle end = now() + cycles;
     while (now() < end)
-        step();
+        advance(end);
 }
 
 } // namespace pracleak

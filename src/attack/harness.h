@@ -8,10 +8,16 @@
  * how the paper runs spy/trojan/victim traces in Ramulator2.
  *
  * The harness can own several interleaved channels (one controller
- * per channel, lockstep clock); each agent is pinned to one channel,
+ * per channel, one shared clock); each agent is pinned to one channel,
  * which is how cross-channel experiments place a victim and a spy on
  * different PRAC engines.  The default is the classic single-channel
  * harness.
+ *
+ * The clock is event-driven: run()/runUntil() jump straight to the
+ * earliest cycle at which any agent (MemAgent::nextEventAt) or any
+ * channel (MemoryController::nextWorkAt) could act, and step() only
+ * there.  Both bounds are never late, so every run is bit-identical
+ * to calling step() once per cycle -- see src/attack/DESIGN.md.
  */
 
 #ifndef PRACLEAK_ATTACK_HARNESS_H
@@ -32,8 +38,18 @@ class MemAgent
   public:
     virtual ~MemAgent() = default;
 
-    /** Called once per cycle before the controller ticks. */
+    /** Called on every stepped cycle, before the controllers tick. */
     virtual void tick(MemoryController &mem, Cycle now) = 0;
+
+    /**
+     * Earliest cycle >= @p now at which tick() could do anything.
+     * The harness skips the cycles before it, so the bound must
+     * never be late.  kNeverCycle means only a request completion
+     * can wake the agent: completions with an onComplete are already
+     * in the controller's own bound.  The default, @p now, ticks the
+     * agent every cycle.
+     */
+    virtual Cycle nextEventAt(Cycle now) const { return now; }
 };
 
 /** Owns one controller per channel and steps agents against them. */
@@ -54,17 +70,21 @@ class AttackHarness
     /** Run for @p cycles cycles. */
     void run(Cycle cycles);
 
-    /** Run until @p predicate() or @p max_cycles more cycles. */
+    /**
+     * Run until @p predicate() or @p max_cycles more cycles.  The
+     * predicate is evaluated after each stepped cycle only: nothing
+     * changes on a skipped one.
+     */
     template <typename Pred>
     void
     runUntil(Pred predicate, Cycle max_cycles)
     {
         const Cycle end = now() + max_cycles;
         while (!predicate() && now() < end)
-            step();
+            advance(end);
     }
 
-    /** Single cycle. */
+    /** Single cycle, ticking every agent and channel (lockstep). */
     void step();
 
     MemoryController &mem() { return *mems_[0]; }
@@ -80,6 +100,9 @@ class AttackHarness
     Cycle now() const { return mems_[0]->now(); }
 
   private:
+    /** Skip to the next event before @p end and step it, or to @p end. */
+    void advance(Cycle end);
+
     struct Pinned
     {
         MemAgent *agent;

@@ -102,6 +102,13 @@ class AesVictim : public MemAgent
 
     bool done() const { return remaining_ == 0 && queue_.empty(); }
 
+    Cycle
+    nextEventAt(Cycle now) const override
+    {
+        // The in-flight read's completion wakes the harness.
+        return inFlight_ || done() ? kNeverCycle : now;
+    }
+
     void
     tick(MemoryController &mem, Cycle) override
     {
@@ -183,6 +190,13 @@ class SideProber : public MemAgent
         return static_cast<std::uint32_t>((completed_ + 15 - row) / 16);
     }
 
+    Cycle
+    nextEventAt(Cycle now) const override
+    {
+        // A completion frees a slot; it wakes the harness itself.
+        return wantsRead() ? now : kNeverCycle;
+    }
+
     void
     tick(MemoryController &mem, Cycle) override
     {
@@ -190,7 +204,7 @@ class SideProber : public MemAgent
         // bank's full row-cycle rate; the controller's ABOACT budget
         // (3 ACTs) then binds before the 180 ns window does, which
         // makes the spike's distance from the trigger deterministic.
-        while (active_ && !spikeSeen_ && outstanding_ < 2) {
+        while (wantsRead()) {
             const int idx = issued_;
             Request req;
             req.type = ReqType::Read;
@@ -214,6 +228,12 @@ class SideProber : public MemAgent
     }
 
   private:
+    bool
+    wantsRead() const
+    {
+        return active_ && !spikeSeen_ && outstanding_ < 2;
+    }
+
     std::array<Addr, 16> addrs_{};
     Cycle threshold_;
     bool recordTimeline_;

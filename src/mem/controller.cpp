@@ -1,12 +1,26 @@
 #include "mem/controller.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/log.h"
 #include "mitigation/registry.h"
 #include "telemetry/timeseries.h"
 
 namespace pracleak {
+
+namespace {
+
+/** StatSet names of MemoryController::Stat, in enum order. */
+constexpr const char *kStatNames[] = {
+    "mem.reads",       "mem.writes",        "mem.row_hits",
+    "mem.row_misses",  "mem.row_conflicts", "mem.refreshes",
+    "mem.abo_rfms",    "mem.acb_rfms",      "mem.tb_rfms",
+    "mem.tb_rfms_pb",  "mem.random_rfms",   "mem.graphene_rfms",
+    "mem.pb_rfms",
+};
+
+} // namespace
 
 const char *
 mitigationModeName(MitigationMode mode)
@@ -81,9 +95,7 @@ MemoryController::enqueue(Request request)
         tap_->onEnqueue(request, now_);
     queue_.push_back(Entry{std::move(request), nextSeq_++});
     nextWorkCacheValid_ = false;
-    if (stats_)
-        ++stats_->counter(request.type == ReqType::Read ? "mem.reads"
-                                                        : "mem.writes");
+    bump(request.type == ReqType::Read ? Stat::Reads : Stat::Writes);
     if (queueOccupancy_)
         queueOccupancy_->sample(static_cast<double>(queue_.size()));
     if (bus_)
@@ -159,20 +171,9 @@ MemoryController::startRefreshIfNeeded()
 }
 
 bool
-MemoryController::issueIfReady(const Command &cmd)
-{
-    if (!dram_.canIssue(cmd, now_))
-        return false;
-    dram_.issue(cmd, now_);
-    if (bus_)
-        bus_->onCommand(cmd, now_);
-    return true;
-}
-
-bool
 MemoryController::issueOrTrack(const Command &cmd, Cycle &hint)
 {
-    // issueIfReady plus bound tracking: a declined command's
+    // Issue when legal, else track the bound: a declined command's
     // earliest-legal cycle feeds the next-work hint, so a tick that
     // issues nothing leaves a ready-made nextWorkAt() cache behind
     // (structurally illegal commands report kNeverCycle and drop out
@@ -189,31 +190,41 @@ MemoryController::issueOrTrack(const Command &cmd, Cycle &hint)
 }
 
 void
+MemoryController::bump(Stat stat)
+{
+    static_assert(std::size(kStatNames) ==
+                  static_cast<std::size_t>(Stat::Count));
+    if (!stats_)
+        return;
+    const auto index = static_cast<std::size_t>(stat);
+    if (!statSlots_[index])
+        statSlots_[index] = &stats_->counter(kStatNames[index]);
+    ++*statSlots_[index];
+}
+
+void
 MemoryController::countRfm(RfmReason reason, bool per_bank)
 {
     ++rfmCounts_[static_cast<std::size_t>(reason)];
-    if (stats_) {
-        switch (reason) {
-          case RfmReason::Abo:
-            ++stats_->counter("mem.abo_rfms");
-            break;
-          case RfmReason::Acb:
-            ++stats_->counter("mem.acb_rfms");
-            break;
-          case RfmReason::TimingBased:
-            ++stats_->counter(per_bank ? "mem.tb_rfms_pb"
-                                       : "mem.tb_rfms");
-            break;
-          case RfmReason::Random:
-            ++stats_->counter("mem.random_rfms");
-            break;
-          case RfmReason::Graphene:
-            ++stats_->counter("mem.graphene_rfms");
-            break;
-          case RfmReason::PerBank:
-            ++stats_->counter("mem.pb_rfms");
-            break;
-        }
+    switch (reason) {
+      case RfmReason::Abo:
+        bump(Stat::AboRfms);
+        break;
+      case RfmReason::Acb:
+        bump(Stat::AcbRfms);
+        break;
+      case RfmReason::TimingBased:
+        bump(per_bank ? Stat::TbRfmsPb : Stat::TbRfms);
+        break;
+      case RfmReason::Random:
+        bump(Stat::RandomRfms);
+        break;
+      case RfmReason::Graphene:
+        bump(Stat::GrapheneRfms);
+        break;
+      case RfmReason::PerBank:
+        bump(Stat::PbRfms);
+        break;
     }
     mitigation_->onRfmIssued(reason, per_bank, now_);
 }
@@ -290,8 +301,7 @@ MemoryController::tickMaintenance()
 
     nextRefreshAt_[maint_.rank] += spec_.timing.tREFI;
     maint_.active = false;
-    if (stats_)
-        ++stats_->counter("mem.refreshes");
+    bump(Stat::Refreshes);
     mitigation_->onRefresh(maint_.rank, now_);
     return true;
 }
@@ -368,8 +378,7 @@ MemoryController::tickDemand()
             continue;
 
         ++hitStreak_[flat];
-        if (stats_)
-            ++stats_->counter("mem.row_hits");
+        bump(Stat::RowHits);
         const Cycle done = is_read
                                ? now_ + spec_.timing.readLatency()
                                : now_ + spec_.timing.writeLatency();
@@ -402,8 +411,7 @@ MemoryController::tickDemand()
                         0};
             if (issueOrTrack(pre, demandHint_)) {
                 hitStreak_[flat] = 0;
-                if (stats_)
-                    ++stats_->counter("mem.row_conflicts");
+                bump(Stat::RowConflicts);
                 return true;
             }
             continue;
@@ -416,8 +424,7 @@ MemoryController::tickDemand()
             if (issueOrTrack(act, demandHint_)) {
                 hitStreak_[flat] = 0;
                 mitigation_->onActivate(flat, da.row, now_);
-                if (stats_)
-                    ++stats_->counter("mem.row_misses");
+                bump(Stat::RowMisses);
                 return true;
             }
             continue;
@@ -443,8 +450,10 @@ MemoryController::tick()
             inFlight_[i] = std::move(inFlight_.back());
             inFlight_.pop_back();
             if (stats_ && entry.req.type == ReqType::Read) {
-                stats_->histogram("mem.read_latency_ns")
-                    .sample(cyclesToNs(entry.req.latency()));
+                if (!readLatency_)
+                    readLatency_ =
+                        &stats_->histogram("mem.read_latency_ns");
+                readLatency_->sample(cyclesToNs(entry.req.latency()));
             }
             if (entry.req.onComplete)
                 entry.req.onComplete(entry.req);

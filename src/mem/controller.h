@@ -303,10 +303,31 @@ class MemoryController
     Cycle computeNextWorkAt() const;
     Cycle composeNextWorkAt(Cycle demand_at, Cycle maint_at) const;
 
-    bool issueIfReady(const Command &cmd);
+    /** Hot-path StatSet counters, resolved into statSlots_. */
+    enum class Stat : std::uint8_t
+    {
+        Reads,
+        Writes,
+        RowHits,
+        RowMisses,
+        RowConflicts,
+        Refreshes,
+        AboRfms,
+        AcbRfms,
+        TbRfms,
+        TbRfmsPb,
+        RandomRfms,
+        GrapheneRfms,
+        PbRfms,
+        Count
+    };
+
     bool issueOrTrack(const Command &cmd, Cycle &hint);
     void finishRequest(Entry &entry, Cycle done_at);
     void countRfm(RfmReason reason, bool per_bank);
+
+    /** Increment @p stat in stats_ (no-op without a StatSet). */
+    void bump(Stat stat);
 
     DramSpec spec_;
     ControllerConfig config_;
@@ -365,6 +386,18 @@ class MemoryController
 
     /** Cached &stats_->histogram("mem.queue_occupancy") (or null). */
     Histogram *queueOccupancy_ = nullptr;
+
+    /**
+     * Cached StatSet entries for per-command and per-delivery stats:
+     * a name-keyed lookup costs more than the event it counts, and
+     * names past the SSO limit allocate on every call.  Resolved on
+     * first increment, not here, so stats dumps gain no zero-valued
+     * entries.  Like queueOccupancy_, they rely on the StatSet never
+     * being reset under a live controller.
+     */
+    std::array<std::uint64_t *, static_cast<std::size_t>(Stat::Count)>
+        statSlots_{};
+    Histogram *readLatency_ = nullptr;
 
     std::vector<std::uint32_t> hitStreak_;
     std::array<std::uint64_t, kRfmReasonCount> rfmCounts_{};

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "attack/side_channel.h"
 #include "common/rng.h"
+#include "sim/provenance.h"
 
 namespace pracleak {
 namespace {
@@ -152,6 +156,87 @@ INSTANTIATE_TEST_SUITE_P(KeyByteValues, KeySweep,
                                            0x5c, 0x6f, 0x81, 0x9e,
                                            0xb2, 0xc5, 0xd8, 0xeb,
                                            0xff));
+
+/**
+ * Timeline golden: every field of one recorded attack, hashed, per
+ * defense.  The digests were captured on the lockstep harness clock;
+ * any drift in the victim/prober/controller interleaving -- one probe
+ * completing a cycle late, one ACT moving, a phase ending elsewhere --
+ * changes them.
+ */
+struct TimelineCase
+{
+    const char *name;
+    MitigationMode mode;
+    double spikeThresholdNs;
+    int probeLag;
+    const char *digest;
+};
+
+void
+PrintTo(const TimelineCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+std::string
+timelineDigest(const SideChannelResult &r)
+{
+    std::ostringstream out;
+    out << "acts";
+    for (const std::uint32_t acts : r.victimActsPerRow)
+        out << ' ' << acts;
+    out << "\nspike " << r.spikeObserved << ' ' << r.spikeProbeIndex
+        << ' ' << r.estimatedTriggerRow << ' ' << r.trueTriggerRow << ' '
+        << r.attackerActsToTrigger << ' ' << r.recoveredKeyNibble
+        << "\nend " << r.victimPhaseEnd << "\nprobe";
+    for (const LatencySample &s : r.probeTimeline)
+        out << ' ' << s.doneAt << ':' << s.latency;
+    out << "\nrfm";
+    for (const Cycle at : r.rfmTimes)
+        out << ' ' << at;
+    out << "\nact";
+    for (const auto &[at, row] : r.actTimeline)
+        out << ' ' << at << ':' << row;
+    return sim::hashHex(sim::fnv1a64(out.str()));
+}
+
+class TimelineGolden : public ::testing::TestWithParam<TimelineCase>
+{
+};
+
+TEST_P(TimelineGolden, DigestIsPinned)
+{
+    const TimelineCase &c = GetParam();
+    SideChannelParams params;
+    params.key = randomKey(7);
+    params.p0 = 0x30;
+    params.encryptions = 200;
+    params.mode = c.mode;
+    params.spikeThresholdNs = c.spikeThresholdNs;
+    params.probeLag = c.probeLag;
+    params.recordTimeline = true;
+
+    const SideChannelResult result = runAesSideChannel(params);
+    ASSERT_TRUE(result.spikeObserved);
+    EXPECT_FALSE(result.actTimeline.empty());
+    EXPECT_EQ(timelineDigest(result), c.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Defenses, TimelineGolden,
+    ::testing::Values(
+        TimelineCase{"abo_only", MitigationMode::AboOnly, 0.0, -1,
+                     "9bc765196d8cd757"},
+        TimelineCase{"abo_acb_rfm", MitigationMode::AboAcb, 400.0, 3,
+                     "205831bb6476123a"},
+        TimelineCase{"tprac", MitigationMode::Tprac, 400.0, 3,
+                     "736796c6c5cbf4a9"},
+        TimelineCase{"obfuscation", MitigationMode::Obfuscation, 400.0, 3,
+                     "c810b1fa8947ae9a"}),
+    [](const ::testing::TestParamInfo<TimelineCase> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace pracleak
