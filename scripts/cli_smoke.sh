@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CLI contract smoke: the subcommand form and the deprecated flat-flag
-# form of every migrated verb produce identical results, and unknown
-# subcommands / flags / scenarios are rejected with exit 2 plus a
-# "did you mean" hint instead of being silently ignored.
+# CLI contract smoke: the subcommand form of every verb works, the
+# removed flat-flag forms are rejected with exit 2 plus a hint naming
+# the replacing subcommand, and unknown subcommands / flags /
+# scenarios are rejected with exit 2 plus a "did you mean" hint
+# instead of being silently ignored.
 #
 # Usage: scripts/cli_smoke.sh [BUILD_DIR] [OUT_DIR]
 #   BUILD_DIR  where pracbench lives (default: build)
@@ -42,48 +43,38 @@ expect_reject() {
     echo "    rejected as expected: $*"
 }
 
-echo "==> list: subcommand and flat flag print identical catalogs"
-"${PRACBENCH}" list > "${OUT_DIR}/list_new.txt"
-"${PRACBENCH}" --list > "${OUT_DIR}/list_old.txt" \
-    2> "${OUT_DIR}/list_old.err"
-cmp "${OUT_DIR}/list_new.txt" "${OUT_DIR}/list_old.txt"
-grep -q "deprecated" "${OUT_DIR}/list_old.err"
+echo "==> list prints the scenario, mitigation and attacker catalogs"
+"${PRACBENCH}" list > "${OUT_DIR}/list.txt"
+grep -q "^fig07_tmax_analysis " "${OUT_DIR}/list.txt"
+grep -q "^tprac " "${OUT_DIR}/list.txt"
 
-echo "==> run: subcommand and flat flag sweep identically"
+echo "==> run sweeps a scenario named by position"
 "${PRACBENCH}" run fig07_tmax_analysis --smoke --quiet --no-table \
-    --out "${OUT_DIR}/run_new.json"
-"${PRACBENCH}" --scenario fig07_tmax_analysis --smoke --quiet \
-    --no-table --out "${OUT_DIR}/run_old.json" \
-    2> "${OUT_DIR}/run_old.err"
-python3 "${SCRIPT_DIR}/diff_sweep_json.py" \
-    --ignore wall_seconds --ignore generated_at \
-    "${OUT_DIR}/run_new.json" "${OUT_DIR}/run_old.json"
-grep -q "deprecated" "${OUT_DIR}/run_old.err"
+    --out "${OUT_DIR}/run.json"
+python3 -m json.tool "${OUT_DIR}/run.json" > /dev/null
 
-echo "==> record/replay: subcommand and flat flag round-trip"
-"${PRACBENCH}" record "${OUT_DIR}/traces_new" --workload h_rand_heavy \
+echo "==> record/replay round-trip"
+"${PRACBENCH}" record "${OUT_DIR}/traces" --workload h_rand_heavy \
     --set warmup=2000 --set measure=10000 --quiet
-"${PRACBENCH}" --record-trace "${OUT_DIR}/traces_old" \
-    --workload h_rand_heavy --set warmup=2000 --set measure=10000 \
-    --quiet 2> "${OUT_DIR}/record_old.err"
-grep -q "deprecated" "${OUT_DIR}/record_old.err"
-# Replay the SAME trace in both spellings: the emitted JSON embeds
-# the trace path, so replaying two separate recordings would differ
-# on that field alone.
-"${PRACBENCH}" replay "${OUT_DIR}/traces_new/h_rand_heavy.trc" \
-    --verify --quiet --no-table \
-    --out "${OUT_DIR}/replay_new.json"
-"${PRACBENCH}" --replay "${OUT_DIR}/traces_new/h_rand_heavy.trc" \
-    --verify --quiet --no-table \
-    --out "${OUT_DIR}/replay_old.json" 2> "${OUT_DIR}/replay_old.err"
-python3 "${SCRIPT_DIR}/diff_sweep_json.py" \
-    --ignore wall_seconds --ignore generated_at \
-    "${OUT_DIR}/replay_new.json" "${OUT_DIR}/replay_old.json"
-grep -q "deprecated" "${OUT_DIR}/replay_old.err"
+"${PRACBENCH}" replay "${OUT_DIR}/traces/h_rand_heavy.trc" \
+    --verify --quiet --no-table --out "${OUT_DIR}/replay.json"
+python3 -m json.tool "${OUT_DIR}/replay.json" > /dev/null
 
 echo "==> help exits 0 in both spellings"
 "${PRACBENCH}" help > /dev/null
 "${PRACBENCH}" --help > /dev/null
+
+echo "==> the removed flat flags are rejected with exit 2 and a hint"
+expect_reject "use \`pracbench list\`" "${PRACBENCH}" --list
+expect_reject "use \`pracbench run NAME\`" \
+    "${PRACBENCH}" --scenario fig07_tmax_analysis --smoke
+expect_reject "use \`pracbench record DIR\`" \
+    "${PRACBENCH}" --record-trace "${OUT_DIR}/flat_traces" \
+    --workload h_rand_heavy
+expect_reject "use \`pracbench replay FILE\`" \
+    "${PRACBENCH}" --replay "${OUT_DIR}/traces/h_rand_heavy.trc"
+expect_reject "name scenarios by position" \
+    "${PRACBENCH}" run --scenario fig07_tmax_analysis --smoke
 
 echo "==> typos are rejected with exit 2 and a hint"
 expect_reject "did you mean 'merge'" "${PRACBENCH}" mrege

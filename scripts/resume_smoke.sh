@@ -26,7 +26,7 @@ mkdir -p "${OUT_DIR}"
 
 # Six points (3 defenses x 2 workloads), each heavy enough that the
 # kill lands mid-sweep but the whole exercise stays CI-sized.
-SWEEP=(--scenario defense_matrix_perf --jobs 2 --quiet --no-table
+SWEEP=(run defense_matrix_perf --jobs 2 --quiet --no-table
        --set mitigation=none,para,tprac
        --set entry=h_rand_heavy,m_blend
        --set warmup=20000 --set measure=200000)

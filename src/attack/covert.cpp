@@ -7,7 +7,7 @@
 #include "attack/harness.h"
 #include "attack/visible_bus.h"
 #include "common/log.h"
-#include "tprac/analysis.h"
+#include "mitigation/registry.h"
 
 namespace pracleak {
 
@@ -37,36 +37,6 @@ CovertResult::errorRate() const
            static_cast<double>(symbolsSent);
 }
 
-ControllerConfig
-covertControllerConfig(const CovertParams &params)
-{
-    ControllerConfig config;
-    config.mode = params.mode;
-    config.refreshEnabled = params.refreshEnabled;
-    // The paper's attack evaluation runs on UPRAC, whose idealized
-    // queue mitigates the true per-bank maximum on every RFM.  (A
-    // single-entry queue is empty for the 2nd..4th RFM of an Alert
-    // burst -- nothing activates while the channel is blocked -- so
-    // decoy rows would accumulate stale counts.)
-    config.prac.queue = QueueKind::Ideal;
-    if (params.mode == MitigationMode::AboAcb) {
-        const FeintingParams fp = FeintingParams::fromSpec(params.spec);
-        config.bat = std::max<std::uint32_t>(
-            16, maxSafeBat(params.nbo, true, fp));
-    }
-    if (params.mode == MitigationMode::Tprac) {
-        if (params.tbWindowCycles) {
-            config.tbRfm.windowCycles = params.tbWindowCycles;
-        } else {
-            config.tbRfm =
-                TbRfmConfig::forNbo(params.nbo, true, params.spec);
-        }
-    }
-    if (params.mode == MitigationMode::Obfuscation)
-        config.randomRfmPerTrefi = params.randomRfmPerTrefi;
-    return config;
-}
-
 namespace {
 
 DramSpec
@@ -77,6 +47,27 @@ covertSpec(const CovertParams &params)
     spec.prac.nmit = params.nmit;
     return spec;
 }
+
+} // namespace
+
+ControllerConfig
+covertControllerConfig(const CovertParams &params)
+{
+    ControllerConfig config;
+    config.refreshEnabled = params.refreshEnabled;
+    // The paper's attack evaluation runs on UPRAC, whose idealized
+    // queue mitigates the true per-bank maximum on every RFM.  (A
+    // single-entry queue is empty for the 2nd..4th RFM of an Alert
+    // burst -- nothing activates while the channel is blocked -- so
+    // decoy rows would accumulate stale counts.)
+    config.prac.queue = QueueKind::Ideal;
+    config.tbRfm.windowCycles = params.tbWindowCycles;
+    config.randomRfmPerTrefi = params.randomRfmPerTrefi;
+    configureDefense(config, params.mitigation, covertSpec(params));
+    return config;
+}
+
+namespace {
 
 /**
  * Receiver-side RFM detector.  Probes one row in each of two ranks:

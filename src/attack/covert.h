@@ -18,6 +18,7 @@
 #define PRACLEAK_ATTACK_COVERT_H
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -29,7 +30,7 @@ namespace pracleak {
 struct CovertParams
 {
     DramSpec spec = DramSpec::ddr5_8000b();
-    MitigationMode mode = MitigationMode::AboOnly;
+    std::string mitigation = "abo-only";  //!< defense registry key
 
     /** Back-Off threshold (overrides spec.prac.nbo). */
     std::uint32_t nbo = 256;
@@ -37,10 +38,10 @@ struct CovertParams
     /** RFMs per Alert (PRAC level). */
     std::uint32_t nmit = 4;
 
-    /** TPRAC window, only used when mode == Tprac. */
+    /** TPRAC window; 0 derives it from nbo ("tprac" only). */
     Cycle tbWindowCycles = 0;
 
-    /** Random-RFM injection rate, only used when mode == Obfuscation. */
+    /** Random-RFM injection rate ("obfuscation" only). */
     double randomRfmPerTrefi = 0.5;
 
     /** Auto-refresh on/off (off isolates the channel for unit tests). */

@@ -7,7 +7,7 @@
 #include "attack/visible_bus.h"
 #include "common/log.h"
 #include "common/rng.h"
-#include "tprac/analysis.h"
+#include "mitigation/registry.h"
 
 namespace pracleak {
 
@@ -246,24 +246,27 @@ class SideProber : public MemAgent
     std::vector<LatencySample> timeline_;
 };
 
+const char *
+mitigationKey(MitigationMode mode)
+{
+    switch (mode) {
+      case MitigationMode::NoMitigation: return "none";
+      case MitigationMode::AboOnly: return "abo-only";
+      case MitigationMode::AboAcb: return "abo+acb-rfm";
+      case MitigationMode::Tprac: return "tprac";
+      case MitigationMode::Obfuscation: return "obfuscation";
+    }
+    return "none";
+}
+
+/** @p spec already carries the experiment's NBO and PRAC level. */
 ControllerConfig
-sideChannelConfig(const SideChannelParams &params)
+sideChannelConfig(const SideChannelParams &params, const DramSpec &spec)
 {
     ControllerConfig config;
-    config.mode = params.mode;
     config.prac.queue = QueueKind::Ideal; // UPRAC, as in the paper
-    if (params.mode == MitigationMode::AboAcb) {
-        const FeintingParams fp = FeintingParams::fromSpec(params.spec);
-        config.bat = std::max<std::uint32_t>(
-            16, maxSafeBat(params.nbo, true, fp));
-    }
-    if (params.mode == MitigationMode::Tprac) {
-        if (params.tbWindowCycles)
-            config.tbRfm.windowCycles = params.tbWindowCycles;
-        else
-            config.tbRfm =
-                TbRfmConfig::forNbo(params.nbo, true, params.spec);
-    }
+    config.tbRfm.windowCycles = params.tbWindowCycles;
+    configureDefense(config, mitigationKey(params.mode), spec);
     return config;
 }
 
@@ -291,7 +294,7 @@ runAesSideChannel(const SideChannelParams &params)
             lag = 0;
     }
 
-    AttackHarness harness(spec, sideChannelConfig(params));
+    AttackHarness harness(spec, sideChannelConfig(params, spec));
     const AddressMapper &mapper = harness.mem().mapper();
 
     ActRecorder recorder(mapper, params.recordTimeline);

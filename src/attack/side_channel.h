@@ -31,6 +31,21 @@
 
 namespace pracleak {
 
+/**
+ * The defenses of the paper's attack evaluation (Fig. 9): the
+ * undefended baseline and the four PRAC designs.  runAesSideChannel()
+ * maps each onto its defense registry key.  The next benchmark change
+ * turns SideChannelParams::mode into a key and deletes this enum.
+ */
+enum class MitigationMode : std::uint8_t
+{
+    NoMitigation,
+    AboOnly,
+    AboAcb,
+    Tprac,
+    Obfuscation,
+};
+
 /** Experiment configuration. */
 struct SideChannelParams
 {
@@ -39,7 +54,7 @@ struct SideChannelParams
 
     std::uint32_t nbo = 256;
     std::uint32_t nmit = 4;
-    Cycle tbWindowCycles = 0;   //!< 0 = derive from nbo (Tprac mode)
+    Cycle tbWindowCycles = 0;   //!< 0 = derive from nbo ("tprac")
 
     Aes128T::Key key{};         //!< victim's secret key
     std::uint8_t p0 = 0;        //!< fixed chosen-plaintext byte 0

@@ -22,26 +22,13 @@ constexpr const char *kStatNames[] = {
 
 } // namespace
 
-const char *
-mitigationModeName(MitigationMode mode)
-{
-    switch (mode) {
-      case MitigationMode::NoMitigation: return "no-mitigation";
-      case MitigationMode::AboOnly: return "abo-only";
-      case MitigationMode::AboAcb: return "abo+acb-rfm";
-      case MitigationMode::Tprac: return "tprac";
-      case MitigationMode::Obfuscation: return "obfuscation";
-    }
-    return "?";
-}
-
 MemoryController::MemoryController(const DramSpec &spec,
                                    const ControllerConfig &config,
                                    StatSet *stats)
     : spec_(spec), config_(config), stats_(stats), dram_(spec),
       mapper_(spec.org, config.mapping, config.interleave)
 {
-    const std::string defense = resolveMitigationName(config_);
+    const std::string &defense = config_.mitigation;
     const MitigationInfo *info = findMitigation(defense);
     if (!info)
         fatal("unknown mitigation '" + defense + "'");

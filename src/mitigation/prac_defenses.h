@@ -1,8 +1,9 @@
 /**
  * @file
- * The seed tree's mitigation modes, ported onto the Mitigation
- * interface with bit-identical behaviour (pinned by the golden
- * equivalence tests in tests/test_golden.cpp):
+ * The four built-in PRAC defenses the paper compares (Figs. 9-10,
+ * Section 7.1), plus the undefended baseline, on the Mitigation
+ * interface.  Their behaviour is pinned by the golden tests in
+ * tests/test_golden.cpp:
  *
  *  - NullMitigation ("none" / "abo-only"): no proactive maintenance;
  *    the two keys differ only in whether the ABO substrate is armed.
@@ -15,8 +16,8 @@
  *    one Bernoulli draw per tREFI (Section 7.1 ablation).
  */
 
-#ifndef PRACLEAK_MITIGATION_LEGACY_H
-#define PRACLEAK_MITIGATION_LEGACY_H
+#ifndef PRACLEAK_MITIGATION_PRAC_DEFENSES_H
+#define PRACLEAK_MITIGATION_PRAC_DEFENSES_H
 
 #include <cstdint>
 
@@ -207,4 +208,4 @@ class ObfuscationMitigation : public Mitigation
 
 } // namespace pracleak
 
-#endif // PRACLEAK_MITIGATION_LEGACY_H
+#endif // PRACLEAK_MITIGATION_PRAC_DEFENSES_H

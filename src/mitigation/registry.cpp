@@ -5,9 +5,9 @@
 #include "common/log.h"
 #include "mem/controller.h"
 #include "mitigation/graphene.h"
-#include "mitigation/legacy.h"
 #include "mitigation/para.h"
 #include "mitigation/pb_rfm.h"
+#include "mitigation/prac_defenses.h"
 #include "tprac/analysis.h"
 
 namespace pracleak {
@@ -59,21 +59,6 @@ mitigationNames()
     for (const MitigationInfo &info : mitigationCatalog())
         names.emplace_back(info.name);
     return names;
-}
-
-std::string
-resolveMitigationName(const ControllerConfig &config)
-{
-    if (!config.mitigation.empty())
-        return config.mitigation;
-    switch (config.mode) {
-      case MitigationMode::NoMitigation: return "none";
-      case MitigationMode::AboOnly: return "abo-only";
-      case MitigationMode::AboAcb: return "abo+acb-rfm";
-      case MitigationMode::Tprac: return "tprac";
-      case MitigationMode::Obfuscation: return "obfuscation";
-    }
-    return "none";
 }
 
 std::unique_ptr<Mitigation>

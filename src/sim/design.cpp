@@ -1,14 +1,13 @@
 #include "sim/design.h"
 
-#include <algorithm>
-
-#include "mitigation/registry.h"
 #include <future>
 #include <map>
 #include <mutex>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
+
+#include "mitigation/registry.h"
 
 namespace pracleak::sim {
 
@@ -28,32 +27,16 @@ makeSystemConfig(const DesignConfig &design, const RunBudget &budget)
     config.warmupInstrs = budget.warmup;
     config.measureInstrs = budget.measure;
 
-    config.mem.mode = design.mode;
     if (design.randomRfmPerTrefi >= 0.0)
         config.mem.randomRfmPerTrefi = design.randomRfmPerTrefi;
     config.mem.prac.queue = QueueKind::SingleEntry;
     config.mem.prac.counterResetAtTrefw = design.counterReset;
     config.mem.prac.trefPeriodRefs = design.trefPeriodRefs;
 
-    if (!design.mitigation.empty()) {
-        configureDefense(config.mem, design.mitigation, config.spec,
-                         design.trefPeriodRefs != 0);
-        if (design.mitigation == "tprac")
-            config.mem.tbRfm.perBank = design.perBankRfm;
-        return config;
-    }
-
-    const FeintingParams fp = FeintingParams::fromSpec(config.spec);
-    if (design.mode == MitigationMode::AboAcb) {
-        config.mem.bat = std::max<std::uint32_t>(
-            16, maxSafeBat(design.nbo, design.counterReset, fp));
-    }
-    if (design.mode == MitigationMode::Tprac) {
-        config.mem.tbRfm = TbRfmConfig::forNbo(
-            design.nbo, design.counterReset, config.spec,
-            design.trefPeriodRefs != 0);
+    configureDefense(config.mem, design.mitigation, config.spec,
+                     design.trefPeriodRefs != 0);
+    if (design.mitigation == "tprac")
         config.mem.tbRfm.perBank = design.perBankRfm;
-    }
     return config;
 }
 
@@ -69,15 +52,15 @@ runOne(const SuiteEntry &entry, const DesignConfig &design,
 namespace {
 
 /**
- * Every knob a NoMitigation baseline run can observe.  Kept honest
+ * Every knob a "none" baseline run can observe.  Kept honest
  * by the kDesignConfigFieldCount tripwire (design.h): when a field
  * is added to DesignConfig, decide here whether the baseline can
- * observe it and extend the key if so -- label, mode/mitigation,
+ * observe it and extend the key if so -- label, mitigation,
  * perBankRfm, randomRfmPerTrefi, and fastForward are deliberately
- * excluded (the baseline forces NoMitigation, and fast-forward is
+ * excluded (the baseline forces "none", and fast-forward is
  * statistics-invariant by the event-scheduler contract).
  */
-static_assert(kDesignConfigFieldCount == 14,
+static_assert(kDesignConfigFieldCount == 13,
               "DesignConfig changed: re-audit BaselineKey before "
               "updating the count");
 using BaselineKey =
@@ -117,8 +100,7 @@ runNormalizedPair(const SuiteEntry &entry, const DesignConfig &design,
 {
     DesignConfig baseline = design;
     baseline.label = "baseline";
-    baseline.mode = MitigationMode::NoMitigation;
-    baseline.mitigation.clear();
+    baseline.mitigation = "none";
     baseline.perBankRfm = false;
 
     const BaselineKey key = baselineKey(entry, design, budget, cores);
@@ -168,7 +150,8 @@ runSuiteNormalized(const std::vector<SuiteEntry> &entries,
         jobs.push_back([entry, design, budget] {
             return runNormalizedPair(entry, design, budget);
         });
-    auto pairs = runParallel(std::move(jobs), pool);
+    ThreadPool &target = pool ? *pool : ThreadPool::shared();
+    auto pairs = target.map(std::move(jobs));
 
     std::vector<EntryPerf> out;
     out.reserve(entries.size());

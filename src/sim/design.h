@@ -3,11 +3,11 @@
  * Evaluated-design configuration and run helpers shared by every
  * performance scenario (Figs. 10-14, Tables 4-5, ablations).
  *
- * Moved out of bench/perf_common.h so the scenario runner, the bench
- * binaries, and the examples all build the same SystemConfig for a
- * given (design, budget) pair.  Baseline runs are memoized: a sweep
- * that compares N designs against the NoMitigation baseline on the
- * same workload performs one baseline simulation, not N.
+ * The scenario runner, the benchmark and the examples all build the
+ * same SystemConfig for a given (design, budget) pair here.  Baseline
+ * runs are memoized: a sweep that compares N designs against the
+ * "none" baseline on the same workload performs one baseline
+ * simulation, not N.
  */
 
 #ifndef PRACLEAK_SIM_DESIGN_H
@@ -31,15 +31,13 @@ namespace pracleak::sim {
 struct DesignConfig
 {
     std::string label;
-    MitigationMode mode = MitigationMode::NoMitigation;
 
     /**
-     * String-keyed defense (mitigation/registry.h).  When non-empty
-     * it overrides `mode` and the registry derives the defense's
-     * parameters (BAT, TB-Window, RAAIMT, Graphene threshold, PARA
-     * probability) from nbo via configureDefense.
+     * Defense registry key (mitigation/registry.h); configureDefense
+     * derives the defense's parameters (BAT, TB-Window, RAAIMT,
+     * Graphene threshold, PARA probability) from nbo.
      */
-    std::string mitigation;
+    std::string mitigation = "none";
 
     /**
      * DRAM spec registry name (dram/dram_spec.h: "ddr5-8000b",
@@ -54,7 +52,7 @@ struct DesignConfig
     bool counterReset = true;
     bool perBankRfm = false;        //!< TPRAC-PB (Section 7.2)
 
-    /** Random-RFM injection rate (Obfuscation mode); <0 = default. */
+    /** Random-RFM injection rate ("obfuscation"); <0 = default. */
     double randomRfmPerTrefi = -1.0;
 
     /** Interleaved memory channels (power of two). */
@@ -108,15 +106,15 @@ inline constexpr bool acceptsFields =
  * struct an aggregate makes designated initializers the construction
  * idiom (`DesignConfig{.label = "x", .channels = 2}`), and the
  * asserts below fail the build the moment a field is added or
- * removed, pointing at the audit list instead of letting a bench go
- * quietly wrong.  Update the count here only after updating
+ * removed, pointing at the audit list instead of letting a scenario
+ * go quietly wrong.  Update the count here only after updating
  * makeSystemConfig() and baselineKey().
  */
-inline constexpr std::size_t kDesignConfigFieldCount = 14;
+inline constexpr std::size_t kDesignConfigFieldCount = 13;
 
 static_assert(std::is_aggregate_v<DesignConfig>,
-              "DesignConfig must stay an aggregate: benches and "
-              "scenarios rely on designated initializers, and the "
+              "DesignConfig must stay an aggregate: scenarios and "
+              "tests rely on designated initializers, and the "
               "field-count tripwire probes brace-initialization");
 static_assert(
     detail::acceptsFields<DesignConfig, kDesignConfigFieldCount> &&
@@ -127,7 +125,7 @@ static_assert(
     "missing from the memoization key serves stale baselines -- "
     "then update kDesignConfigFieldCount");
 
-/** Instruction budgets for bench runs (scaled-down from the paper). */
+/** Instruction budgets for one run (scaled-down from the paper). */
 struct RunBudget
 {
     std::uint64_t warmup = 50'000;
@@ -143,7 +141,7 @@ RunResult runOne(const SuiteEntry &entry, const DesignConfig &design,
                  const RunBudget &budget, std::uint32_t cores = 4);
 
 /**
- * Run @p design and its NoMitigation baseline on @p entry.  The
+ * Run @p design and its "none" baseline on @p entry.  The
  * baseline leg is served from a process-wide memoization cache keyed
  * on every baseline-visible knob, so design sweeps over the same
  * workload pay for it once.

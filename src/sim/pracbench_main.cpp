@@ -15,12 +15,11 @@
  *   pracbench record traces/ --workload h_rand_heavy
  *   pracbench replay traces/h_rand_heavy.trc --set mitigation=none,tprac
  *
- * The pre-subcommand flat flags (--list, --scenario, --record-trace,
- * --replay) still work as deprecated aliases: a leading flag is
- * translated to the matching subcommand, with a one-line note on
- * stderr.  Unknown flags and subcommands are hard errors with a
- * "did you mean" hint -- a typo'd axis or mode must never silently
- * burn a fleet-sized sweep.
+ * Scenarios are named by position only.  Unknown flags and
+ * subcommands -- including the removed pre-subcommand flat flags
+ * (--list, --scenario, --record-trace, --replay) -- are hard errors
+ * with a hint, so a typo'd axis or mode never silently burns a
+ * fleet-sized sweep.
  */
 
 #include <algorithm>
@@ -32,6 +31,7 @@
 #include <string>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "attack/adversaries.h"
@@ -215,12 +215,7 @@ printUsage()
         "--claim-ttl to match\n"
         "                         the workers' own stealing "
         "judgement)\n"
-        "\n"
-        "The old flat flags (--list, --scenario NAME, --record-trace "
-        "DIR,\n"
-        "--replay FILE) keep working as deprecated aliases for the "
-        "commands\n"
-        "above.\n");
+        );
 }
 
 bool
@@ -414,9 +409,7 @@ parseCommonFlag(RunCli &cli, const std::vector<std::string> &args,
                 std::size_t &i)
 {
     const std::string &arg = args[i];
-    if (arg == "--scenario" || arg == "-s") {
-        cli.names.push_back(nextValue(args, i, arg));
-    } else if (arg == "--jobs" || arg == "-j") {
+    if (arg == "--jobs" || arg == "-j") {
         cli.options.jobs = static_cast<unsigned>(
             std::strtoul(nextValue(args, i, arg).c_str(), nullptr,
                          10));
@@ -507,7 +500,7 @@ commandRun(const std::vector<std::string> &args)
     RunCli cli;
     bool stealWorkerGiven = false;
     static const std::vector<std::string> known = {
-        "--scenario", "--jobs",       "--out",
+        "--jobs",     "--out",
         "--csv",      "--set",        "--try-set",
         "--smoke",    "--quiet",      "--no-table",
         "--checkpoint", "--resume",   "--shard",
@@ -541,6 +534,12 @@ commandRun(const std::vector<std::string> &args)
         } else if (arg == "--help" || arg == "-h") {
             printUsage();
             return 0;
+        } else if (arg == "--scenario") {
+            std::fprintf(stderr,
+                         "pracbench: unknown option for `run` "
+                         "'--scenario' (name scenarios by position: "
+                         "`pracbench run NAME`)\n");
+            return 2;
         } else if (!arg.empty() && arg[0] == '-') {
             rejectUnknown("option for `run`", arg, known);
         } else {
@@ -985,8 +984,8 @@ commandRecord(const std::vector<std::string> &args)
             printUsage();
             return 0;
         } else if (parseCommonFlag(cli, args, i)) {
-            // --out/--csv/--scenario/--jobs parse but make no sense
-            // here; reject below for a precise message.
+            // --out/--csv/--jobs parse but make no sense here;
+            // reject below for a precise message.
         } else if (!arg.empty() && arg[0] == '-') {
             rejectUnknown("option for `record`", arg, known);
         } else {
@@ -999,11 +998,10 @@ commandRecord(const std::vector<std::string> &args)
                      "directory\n");
         return 2;
     }
-    if (!cli.outJson.empty() || !cli.outCsv.empty() ||
-        !cli.names.empty()) {
+    if (!cli.outJson.empty() || !cli.outCsv.empty()) {
         std::fprintf(stderr,
                      "pracbench: record writes DIR/<workload>.trc; "
-                     "--out/--csv/--scenario do not apply\n");
+                     "--out/--csv do not apply\n");
         return 2;
     }
     if (cli.smoke)
@@ -1060,10 +1058,9 @@ commandReplay(const std::vector<std::string> &args)
                      "file\n");
         return 2;
     }
-    if (!cli.outCsv.empty() || !cli.names.empty()) {
+    if (!cli.outCsv.empty()) {
         std::fprintf(stderr,
-                     "pracbench: --csv/--scenario do not apply to "
-                     "replay\n");
+                     "pracbench: --csv does not apply to replay\n");
         return 2;
     }
 
@@ -1216,47 +1213,6 @@ commandStatus(const std::vector<std::string> &args)
     return 0;
 }
 
-/**
- * Map a pre-subcommand flat command line onto a subcommand.  The
- * mode flag (--list/--record-trace/--replay, default run) is
- * removed from @p args; everything else parses unchanged because
- * the subcommands kept every flat flag as an alias.
- */
-std::string
-translateLegacy(std::vector<std::string> &args)
-{
-    std::string command = "run";
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "--help" || arg == "-h")
-            return "help";
-        if (arg == "--list") {
-            args.erase(args.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-            command = "list";
-            break;
-        }
-        if (arg == "--record-trace") {
-            // Keep the DIR value: it becomes record's positional.
-            args.erase(args.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-            command = "record";
-            break;
-        }
-        if (arg == "--replay") {
-            args.erase(args.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-            command = "replay";
-            break;
-        }
-    }
-    std::fprintf(stderr,
-                 "pracbench: note: flat flags are deprecated; use "
-                 "`pracbench %s ...` (see `pracbench help`)\n",
-                 command.c_str());
-    return command;
-}
-
 } // namespace
 
 int
@@ -1270,15 +1226,10 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::string command;
-    if (args[0][0] != '-') {
-        command = args[0];
-        args.erase(args.begin());
-    } else {
-        command = translateLegacy(args);
-    }
+    const std::string command = args[0];
+    args.erase(args.begin());
 
-    if (command == "help") {
+    if (command == "help" || command == "--help" || command == "-h") {
         printUsage();
         return 0;
     }
@@ -1298,6 +1249,21 @@ main(int argc, char **argv)
         return commandAnalyze(args);
     if (command == "status")
         return commandStatus(args);
+    // The pre-subcommand flat flags: name the command that replaced
+    // each.
+    const std::pair<const char *, const char *> removed[] = {
+        {"--list", "list"},
+        {"--scenario", "run NAME"},
+        {"--record-trace", "record DIR"},
+        {"--replay", "replay FILE"}};
+    for (const auto &[flag, replacement] : removed)
+        if (command == flag) {
+            std::fprintf(stderr,
+                         "pracbench: unknown command '%s' (the flat "
+                         "flags were removed; use `pracbench %s`)\n",
+                         flag, replacement);
+            return 2;
+        }
     rejectUnknown("command", command,
                   {"run", "list", "search", "merge", "record",
                    "replay", "analyze", "status", "help"});

@@ -71,7 +71,7 @@ characterizeAbo(std::uint32_t nbo, std::uint32_t nmit, bool with_victim,
     spec.prac.nmit = nmit;
 
     ControllerConfig config;
-    config.mode = MitigationMode::AboOnly;
+    config.mitigation = "abo-only";
     config.prac.queue = QueueKind::Ideal; // UPRAC, as in the paper
     config.refreshEnabled = false;        // isolate ABO effects
     AttackHarness harness(spec, config);

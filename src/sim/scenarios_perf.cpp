@@ -48,18 +48,17 @@ designFromLabel(std::string label, std::uint32_t nrh,
         label.erase(tref);
     }
 
-    if (label == "abo-only")
-        design.mode = MitigationMode::AboOnly;
-    else if (label == "abo+acb-rfm")
-        design.mode = MitigationMode::AboAcb;
-    else if (label == "tprac" || label == "tprac-pb")
-        design.mode = MitigationMode::Tprac;
-    else if (label == "baseline")
-        design.mode = MitigationMode::NoMitigation;
+    design.perBankRfm = label == "tprac-pb";
+    if (label == "baseline")
+        design.mitigation = "none";
+    else if (design.perBankRfm)
+        design.mitigation = "tprac";
+    else if (label == "abo-only" || label == "abo+acb-rfm" ||
+             label == "tprac")
+        design.mitigation = label;
     else
         throw std::invalid_argument("unknown design label '" + label +
                                     "'");
-    design.perBankRfm = label == "tprac-pb";
     return design;
 }
 

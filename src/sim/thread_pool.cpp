@@ -22,8 +22,9 @@ ThreadPool::ThreadPool(unsigned threads)
     threadCount_ = threads != 0
                        ? threads
                        : std::max(2u, std::thread::hardware_concurrency());
-    workers_.reserve(threadCount_);
-    for (unsigned i = 0; i < threadCount_; ++i)
+    // The collecting caller is the last of the threadCount_ threads.
+    workers_.reserve(threadCount_ - 1);
+    for (unsigned i = 0; i + 1 < threadCount_; ++i)
         workers_.emplace_back([this, i] {
             t_lane = static_cast<int>(i);
             workerLoop();

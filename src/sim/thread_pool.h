@@ -3,11 +3,12 @@
  * Shared fixed-size thread pool for fan-out across independent
  * simulations.
  *
- * Generalizes the ad-hoc batched std::async executor the benches
- * used to carry: work is a FIFO of type-erased tasks, and blocking
- * collectors *help drain the queue* while they wait (tryRunOne), so
- * nested fan-out -- a pooled scenario point that itself calls
- * runParallel -- cannot deadlock the pool.
+ * Work is a FIFO of type-erased tasks, and blocking collectors *help
+ * drain the queue* while they wait (tryRunOne), so nested fan-out --
+ * a pooled scenario point that itself calls map() -- cannot deadlock
+ * the pool.  The collecting caller counts as one of the pool's
+ * threads: ThreadPool(N) starts N-1 workers, so `--jobs N` runs on
+ * exactly N threads and ThreadPool(1) runs every job on the caller.
  */
 
 #ifndef PRACLEAK_SIM_THREAD_POOL_H
@@ -30,7 +31,10 @@ namespace pracleak::sim {
 class ThreadPool
 {
   public:
-    /** @p threads == 0 picks hardware_concurrency (min 2). */
+    /**
+     * A pool of @p threads threads: the calling collector plus
+     * threads-1 workers.  0 picks hardware_concurrency (min 2).
+     */
     explicit ThreadPool(unsigned threads = 0);
     ~ThreadPool();
 
@@ -41,7 +45,7 @@ class ThreadPool
     static ThreadPool &shared();
 
     /**
-     * Lane index of the calling thread: 0..threads-1 on a pool
+     * Lane index of the calling thread: 0..threads-2 on a pool
      * worker, -1 elsewhere (the main thread, including when it helps
      * drain the queue from a blocking collector).  Telemetry uses
      * this to assign trace spans to per-worker lanes; it is stable
@@ -51,19 +55,11 @@ class ThreadPool
 
     unsigned threadCount() const { return threadCount_; }
 
-    /** Enqueue fire-and-forget work. */
-    void submit(std::function<void()> task);
-
-    /**
-     * Run one queued task on the calling thread if any is pending.
-     * Returns false when the queue was empty.
-     */
-    bool tryRunOne();
-
     /**
      * Run every job and return the results in order.  The calling
-     * thread participates, so this is safe to invoke from inside a
-     * pool task.  The first exception thrown by a job is rethrown
+     * thread is one of the pool's threads and runs queued jobs until
+     * all are done, so this is safe to invoke from inside a pool
+     * task.  The first exception thrown by a job is rethrown
      * after all jobs finish.
      */
     template <typename T>
@@ -101,6 +97,18 @@ class ThreadPool
     void run(std::vector<std::function<void()>> jobs);
 
   private:
+    /**
+     * Enqueue work.  A pool of one thread has no worker, so queued
+     * work runs only while a collector drains the queue.
+     */
+    void submit(std::function<void()> task);
+
+    /**
+     * Run one queued task on the calling thread if any is pending.
+     * Returns false when the queue was empty.
+     */
+    bool tryRunOne();
+
     void workerLoop();
     void waitForCount(const std::atomic<std::size_t> &done,
                       std::size_t target);
@@ -114,19 +122,6 @@ class ThreadPool
     std::mutex finishedMutex_;
     bool stopping_ = false;
 };
-
-/**
- * Back-compat shim for the old bench helper: run a batch of
- * independent jobs on @p pool (the shared pool by default).
- */
-template <typename T>
-std::vector<T>
-runParallel(std::vector<std::function<T()>> jobs,
-            ThreadPool *pool = nullptr)
-{
-    ThreadPool &target = pool ? *pool : ThreadPool::shared();
-    return target.map(std::move(jobs));
-}
 
 } // namespace pracleak::sim
 

@@ -22,7 +22,7 @@ ControllerConfig
 quietConfig()
 {
     ControllerConfig config;
-    config.mode = MitigationMode::NoMitigation;
+    config.mitigation = "none";
     config.refreshEnabled = false;
     return config;
 }
@@ -65,7 +65,7 @@ TEST(ProbeAgentTest, OpenPageProbingAvoidsSelfActivations)
     DramSpec spec = DramSpec::ddr5_8000b();
     spec.prac.nbo = 64;
     ControllerConfig config;
-    config.mode = MitigationMode::AboOnly;
+    config.mitigation = "abo-only";
     config.refreshEnabled = false;
     AttackHarness harness(spec, config);
     ProbeAgent probe(harness.mem().mapper().compose(
@@ -187,7 +187,7 @@ TEST(HarnessTest, AgentTrafficIsTimingClean)
     DramSpec spec = DramSpec::ddr5_8000b();
     spec.prac.nbo = 256;
     ControllerConfig config;
-    config.mode = MitigationMode::AboOnly;
+    config.mitigation = "abo-only";
     AttackHarness harness(spec, config);
     TimingChecker checker(spec);
     harness.mem().dram().setTraceSink(
@@ -279,7 +279,7 @@ runThinkingReaders(std::uint32_t channels, bool lockstep)
     DramSpec spec = DramSpec::ddr5_8000b();
     spec.prac.nbo = 32;
     ControllerConfig config;
-    config.mode = MitigationMode::AboOnly;
+    config.mitigation = "abo-only";
     AttackHarness harness(spec, config, channels);
 
     // Two readers per channel: row conflicts in two banks drive ACTs,

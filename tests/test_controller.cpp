@@ -127,7 +127,7 @@ TEST(Controller, NoMitigationIssuesNoRfms)
 {
     const DramSpec spec = specWith(64); // tiny NBO
     ControllerConfig config;
-    config.mode = MitigationMode::NoMitigation;
+    config.mitigation = "none";
     AttackHarness harness(spec, config);
 
     // Hammer far past NBO via raw requests.
@@ -147,7 +147,7 @@ TEST(Controller, AboServiceIssuesNmitRfms)
 {
     const DramSpec spec = specWith(32, 4);
     ControllerConfig config;
-    config.mode = MitigationMode::AboOnly;
+    config.mitigation = "abo-only";
     config.refreshEnabled = false;
     MemoryController mem(spec, config);
     const AddressMapper &mapper = mem.mapper();
@@ -172,7 +172,7 @@ TEST(Controller, AcbIssuesProactiveRfms)
 {
     const DramSpec spec = specWith(1024);
     ControllerConfig config;
-    config.mode = MitigationMode::AboAcb;
+    config.mitigation = "abo+acb-rfm";
     config.bat = 16;
     config.refreshEnabled = false;
     MemoryController mem(spec, config);
@@ -195,7 +195,7 @@ TEST(Controller, TpracIssuesPeriodicRfmsWhenIdle)
 {
     const DramSpec spec = specWith(1024);
     ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
+    config.mitigation = "tprac";
     config.tbRfm.windowCycles = spec.timing.tREFI; // 1 tREFI
     MemoryController mem(spec, config);
 
@@ -210,7 +210,7 @@ TEST(Controller, TpracRfmRateIndependentOfLoad)
     const DramSpec spec = specWith(1024);
     auto run_with_traffic = [&](bool traffic) {
         ControllerConfig config;
-        config.mode = MitigationMode::Tprac;
+        config.mitigation = "tprac";
         config.tbRfm.windowCycles = spec.timing.tREFI;
         MemoryController mem(spec, config);
         const AddressMapper &mapper = mem.mapper();

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the pluggable mitigation subsystem (src/mitigation/):
- * the string-keyed registry and its legacy-enum resolution, the
- * parameter derivations of configureDefense, the PARA / Graphene /
+ * the string-keyed registry, the parameter derivations of
+ * configureDefense, the PARA / Graphene /
  * PB-RFM defense mechanics, per-channel RNG stream derivation, and
  * the fast-forward invariant for every new defense.
  */
@@ -46,17 +46,6 @@ TEST(MitigationRegistry, CatalogCoversAllDefenses)
     EXPECT_FALSE(findMitigation("pb-rfm")->usesAbo);
     EXPECT_TRUE(findMitigation("abo-only")->usesAbo);
     EXPECT_TRUE(findMitigation("tprac")->usesAbo);
-}
-
-TEST(MitigationRegistry, ResolvesLegacyEnumAndOverride)
-{
-    ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
-    EXPECT_EQ(resolveMitigationName(config), "tprac");
-    config.mode = MitigationMode::AboAcb;
-    EXPECT_EQ(resolveMitigationName(config), "abo+acb-rfm");
-    config.mitigation = "para";
-    EXPECT_EQ(resolveMitigationName(config), "para");
 }
 
 TEST(MitigationRegistry, ConfigureDefenseDerivesParameters)

@@ -9,7 +9,7 @@
 #include "attack/agents.h"
 #include "attack/harness.h"
 #include "mem/controller.h"
-#include "tprac/tb_rfm.h"
+#include "mitigation/registry.h"
 
 namespace pracleak {
 namespace {
@@ -58,8 +58,7 @@ TEST(TpracPb, RotatesThroughEveryBank)
     spec.prac.nbo = 1024;
 
     ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
-    config.tbRfm = TbRfmConfig::forNbo(1024, true, spec);
+    configureDefense(config, "tprac", spec);
     config.tbRfm.perBank = true;
     MemoryController mem(spec, config);
 
@@ -78,8 +77,7 @@ TEST(TpracPb, StillPreventsAlerts)
     spec.timing.tREFW = nsToCycles(2.0e6); // scaled universe
 
     ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
-    config.tbRfm = TbRfmConfig::forNbo(512, true, spec);
+    configureDefense(config, "tprac", spec);
     config.tbRfm.perBank = true;
 
     AttackHarness harness(spec, config);
@@ -110,8 +108,7 @@ TEST(TpracPb, NeverStallsOtherBanksObservably)
     spec.prac.nbo = 128;
 
     ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
-    config.tbRfm = TbRfmConfig::forNbo(128, true, spec);
+    configureDefense(config, "tprac", spec);
     config.tbRfm.perBank = true;
     config.refreshEnabled = false;
 

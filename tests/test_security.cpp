@@ -14,8 +14,8 @@
 
 #include "attack/harness.h"
 #include "mem/controller.h"
+#include "mitigation/registry.h"
 #include "tprac/analysis.h"
-#include "tprac/tb_rfm.h"
 
 namespace pracleak {
 namespace {
@@ -102,10 +102,9 @@ TEST_P(FeintingVsTprac, NoRowEverReachesNbo)
     spec.timing.tREFW = nsToCycles(2.0e6); // 2 ms
 
     ControllerConfig config;
-    config.mode = MitigationMode::Tprac;
     config.prac.queue = QueueKind::SingleEntry;
     config.prac.counterResetAtTrefw = counter_reset;
-    config.tbRfm = TbRfmConfig::forNbo(nbo, counter_reset, spec);
+    configureDefense(config, "tprac", spec);
 
     AttackHarness harness(spec, config);
 
@@ -154,9 +153,8 @@ TEST(Security, SingleEntryQueueMatchesIdealUnderFeinting)
 
     auto max_count = [&](QueueKind queue) {
         ControllerConfig config;
-        config.mode = MitigationMode::Tprac;
         config.prac.queue = queue;
-        config.tbRfm = TbRfmConfig::forNbo(512, true, spec);
+        configureDefense(config, "tprac", spec);
         AttackHarness harness(spec, config);
         FeintingAgent attacker(harness.mem(), 256, 5000);
         harness.add(&attacker);
@@ -182,7 +180,7 @@ TEST(Security, AboOnlyIsBreachedByFeinting)
     spec.prac.nbo = 256;
 
     ControllerConfig config;
-    config.mode = MitigationMode::AboOnly;
+    config.mitigation = "abo-only";
     config.prac.queue = QueueKind::SingleEntry;
 
     AttackHarness harness(spec, config);
@@ -204,12 +202,11 @@ TEST(Security, FifoQueueWastesMitigations)
 
     auto alerts_with = [&](QueueKind queue) {
         ControllerConfig config;
-        config.mode = MitigationMode::Tprac;
         config.prac.queue = queue;
         config.prac.fifoThreshold = 32;
+        configureDefense(config, "tprac", spec);
         // Deliberately lax window: 4x the safe one.
-        config.tbRfm.windowCycles =
-            TbRfmConfig::forNbo(256, true, spec).windowCycles * 4;
+        config.tbRfm.windowCycles *= 4;
         AttackHarness harness(spec, config);
         FeintingAgent attacker(harness.mem(), 128, 5000);
         harness.add(&attacker);

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "sim/json.h"
 #include "sim/param_grid.h"
@@ -171,13 +174,39 @@ TEST(ThreadPool, MapPropagatesExceptionsAfterDraining)
     EXPECT_EQ(ran.load(), 10);
 }
 
-TEST(ThreadPool, RunParallelShimUsesSharedPool)
+TEST(ThreadPool, SharedPoolMapPreservesOrder)
 {
     std::vector<std::function<int()>> jobs;
     for (int i = 0; i < 4; ++i)
         jobs.push_back([i] { return i; });
-    const std::vector<int> results = runParallel(std::move(jobs));
+    const std::vector<int> results =
+        ThreadPool::shared().map(std::move(jobs));
     EXPECT_EQ(results, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(ThreadPool, JobsCountIncludesTheCallingThread)
+{
+    // `--jobs N` means N threads: the collecting caller is one of
+    // them, so a pool of 1 runs every job on the calling thread.
+    auto threadsUsed = [](unsigned threads) {
+        ThreadPool pool(threads);
+        EXPECT_EQ(pool.threadCount(), threads);
+        std::mutex mutex;
+        std::set<std::thread::id> ids;
+        std::vector<std::function<int()>> jobs;
+        for (int i = 0; i < 8; ++i)
+            jobs.push_back([&] {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                const std::lock_guard<std::mutex> lock(mutex);
+                ids.insert(std::this_thread::get_id());
+                return 0;
+            });
+        pool.map(std::move(jobs));
+        return ids;
+    };
+    EXPECT_EQ(threadsUsed(1),
+              std::set<std::thread::id>{std::this_thread::get_id()});
+    EXPECT_LE(threadsUsed(3).size(), 3u);
 }
 
 // --- Registry + runner ---------------------------------------------
@@ -234,7 +263,7 @@ TEST(Runner, SweepMergesParamsAndSummarizes)
         return std::vector<ResultRow>{std::move(total)};
     };
 
-    SweepOptions options;
+    RunOptions options;
     options.jobs = 2;
     options.progress = false;
     const SweepResult result = runScenario(scenario, options);
@@ -267,7 +296,7 @@ TEST(Runner, OverridesNarrowTheSweepAndBadAxisThrows)
         return std::vector<ResultRow>{std::move(row)};
     };
 
-    SweepOptions options;
+    RunOptions options;
     options.progress = false;
     options.overrides["x"] = {JsonValue(7), JsonValue(9)};
     const SweepResult result = runScenario(scenario, options);
@@ -293,7 +322,7 @@ TEST(Runner, EmptyPointRowsAreSkipped)
         row.set("kept", true);
         return std::vector<ResultRow>{std::move(row)};
     };
-    SweepOptions options;
+    RunOptions options;
     options.progress = false;
     const SweepResult result = runScenario(scenario, options);
     EXPECT_EQ(result.rows.size(), 2u);
