@@ -24,15 +24,6 @@ DramDevice::addListener(DramListener *listener)
     listeners_.push_back(listener);
 }
 
-std::size_t
-DramDevice::bankIndex(std::uint32_t rank, std::uint32_t bg,
-                      std::uint32_t bank) const
-{
-    return (static_cast<std::size_t>(rank) * spec_.org.bankGroups + bg) *
-               spec_.org.banksPerGroup +
-           bank;
-}
-
 const DramDevice::BankState &
 DramDevice::bankOf(const Command &cmd) const
 {
@@ -43,20 +34,6 @@ DramDevice::BankState &
 DramDevice::bankOf(const Command &cmd)
 {
     return banks_[bankIndex(cmd.rank, cmd.bankGroup, cmd.bank)];
-}
-
-bool
-DramDevice::isOpen(std::uint32_t rank, std::uint32_t bg,
-                   std::uint32_t bank) const
-{
-    return banks_[bankIndex(rank, bg, bank)].open;
-}
-
-std::uint32_t
-DramDevice::openRow(std::uint32_t rank, std::uint32_t bg,
-                    std::uint32_t bank) const
-{
-    return banks_[bankIndex(rank, bg, bank)].row;
 }
 
 bool

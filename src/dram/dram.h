@@ -80,12 +80,31 @@ class DramDevice
     void issue(const Command &cmd, Cycle now);
 
     /** Whether the given bank has an open row. */
-    bool isOpen(std::uint32_t rank, std::uint32_t bg,
-                std::uint32_t bank) const;
+    bool
+    isOpen(std::uint32_t rank, std::uint32_t bg, std::uint32_t bank) const
+    {
+        return banks_[bankIndex(rank, bg, bank)].open;
+    }
 
     /** Open row of a bank (only valid when isOpen()). */
-    std::uint32_t openRow(std::uint32_t rank, std::uint32_t bg,
-                          std::uint32_t bank) const;
+    std::uint32_t
+    openRow(std::uint32_t rank, std::uint32_t bg, std::uint32_t bank) const
+    {
+        return banks_[bankIndex(rank, bg, bank)].row;
+    }
+
+    /**
+     * The same two by channel-wide flat bank index
+     * (DramOrg::flatBank(), which orders banks like the device does).
+     */
+    bool isOpen(std::uint32_t flat_bank) const
+    {
+        return banks_[flat_bank].open;
+    }
+    std::uint32_t openRow(std::uint32_t flat_bank) const
+    {
+        return banks_[flat_bank].row;
+    }
 
     /** Whether any bank in @p rank has an open row. */
     bool anyOpenInRank(std::uint32_t rank) const;
@@ -143,8 +162,14 @@ class DramDevice
         Cycle rdAllowedAt = 0;              //!< tWTR gate (same rank)
     };
 
-    std::size_t bankIndex(std::uint32_t rank, std::uint32_t bg,
-                          std::uint32_t bank) const;
+    std::size_t
+    bankIndex(std::uint32_t rank, std::uint32_t bg,
+              std::uint32_t bank) const
+    {
+        return (static_cast<std::size_t>(rank) * spec_.org.bankGroups +
+                bg) * spec_.org.banksPerGroup +
+               bank;
+    }
     const BankState &bankOf(const Command &cmd) const;
     BankState &bankOf(const Command &cmd);
 

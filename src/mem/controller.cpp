@@ -54,6 +54,8 @@ MemoryController::MemoryController(const DramSpec &spec,
             spec.timing.tREFI * (r + 1) / spec.org.ranks;
     }
     hitStreak_.assign(spec.org.totalBanks(), 0);
+    bankQueues_.resize(spec.org.totalBanks());
+    activeSlot_.assign(spec.org.totalBanks(), 0);
 
     // Resolve the queue-occupancy histogram once: enqueue() is too
     // hot for a per-call map lookup.  Depth in requests, one bucket
@@ -80,13 +82,23 @@ MemoryController::enqueue(Request request)
     request.daddr = mapper_.map(request.addr);
     if (tap_)
         tap_->onEnqueue(request, now_);
-    queue_.push_back(Entry{std::move(request), nextSeq_++});
+    const Stat counted =
+        request.type == ReqType::Read ? Stat::Reads : Stat::Writes;
+    const std::uint32_t flat = mapper_.flatBank(request.daddr);
+    std::vector<Entry> &queue = bankQueues_[flat];
+    if (queue.empty()) {
+        activeSlot_[flat] =
+            static_cast<std::uint32_t>(activeBanks_.size());
+        activeBanks_.push_back(flat);
+    }
+    queue.push_back(Entry{std::move(request), nextSeq_++});
+    ++queued_;
     nextWorkCacheValid_ = false;
-    bump(request.type == ReqType::Read ? Stat::Reads : Stat::Writes);
+    bump(counted);
     if (queueOccupancy_)
-        queueOccupancy_->sample(static_cast<double>(queue_.size()));
+        queueOccupancy_->sample(static_cast<double>(queued_));
     if (bus_)
-        bus_->onQueueDepth(queue_.size(), now_);
+        bus_->onQueueDepth(queued_, now_);
     return true;
 }
 
@@ -170,10 +182,16 @@ MemoryController::issueOrTrack(const Command &cmd, Cycle &hint)
         hint = std::min(hint, at);
         return false;
     }
+    issueNow(cmd);
+    return true;
+}
+
+void
+MemoryController::issueNow(const Command &cmd)
+{
     dram_.issue(cmd, now_);
     if (bus_)
         bus_->onCommand(cmd, now_);
-    return true;
 }
 
 void
@@ -293,133 +311,134 @@ MemoryController::tickMaintenance()
     return true;
 }
 
-bool
-MemoryController::hitDeferredAtCap(
-    std::deque<Entry>::const_iterator it, const DramAddress &da) const
+template <typename Visit>
+void
+MemoryController::forEachDemandCandidate(Visit &&visit) const
 {
-    // A row hit may bypass older requests unless the streak cap is
-    // reached AND an older request is waiting on the same bank with a
-    // different row (the FR-FCFS starvation case the cap exists for).
-    if (hitStreak_[mapper_.flatBank(da)] < config_.frfcfsCap)
-        return false;
-    for (auto older = queue_.begin(); older != it; ++older) {
-        const DramAddress &oda = older->req.daddr;
-        if (oda.sameBank(da) && oda.row != da.row)
-            return true;
-    }
-    return false;
-}
-
-bool
-MemoryController::preDeferredForPendingHit(
-    const DramAddress &da, std::uint32_t open_row) const
-{
-    // Open-page policy: don't close a row another queued request
-    // still hits, as long as the streak cap leaves it headroom.
-    if (hitStreak_[mapper_.flatBank(da)] >= config_.frfcfsCap)
-        return false;
-    for (const Entry &other : queue_)
-        if (other.req.daddr.sameBank(da) &&
-            other.req.daddr.row == open_row)
-            return true;
-    return false;
-}
-
-bool
-MemoryController::tickDemand()
-{
-    if (queue_.empty())
-        return false;
-
     const bool refresh_drain = maint_.active && !maint_.isRfm;
     const bool rfmpb_drain =
         maint_.active && maint_.isRfm && maint_.perBank;
     const bool acts_blocked =
         prac_->alertAsserted() &&
         prac_->actsSinceAlert() >= spec_.prac.aboAct;
+    const std::uint32_t banks_per_rank = spec_.org.banksPerRank();
+    constexpr std::size_t kNone = ~std::size_t{0};
 
-    auto blocked_by_drain = [&](const DramAddress &da) {
-        if (refresh_drain && da.rank == maint_.rank)
-            return true;
-        if (rfmpb_drain && mapper_.flatBank(da) == maint_.flatBank)
-            return true;
-        return false;
-    };
-
-    // Pass 1: oldest ready row-hit, subject to the streak cap.
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        const DramAddress &da = it->req.daddr;
-        if (blocked_by_drain(da))
+    for (const std::uint32_t flat : activeBanks_) {
+        if (refresh_drain && flat / banks_per_rank == maint_.rank)
             continue;
-        if (!dram_.isOpen(da.rank, da.bankGroup, da.bank) ||
-            dram_.openRow(da.rank, da.bankGroup, da.bank) != da.row)
+        if (rfmpb_drain && flat == maint_.flatBank)
             continue;
-        const std::uint32_t flat = mapper_.flatBank(da);
-        if (hitDeferredAtCap(it, da))
-            continue; // let the conflicting older request make progress
+        const std::vector<Entry> &queue = bankQueues_[flat];
+        const DramAddress &head = queue.front().req.daddr;
 
-        const bool is_read = it->req.type == ReqType::Read;
-        Command cas{is_read ? CmdType::RD : CmdType::WR, da.rank,
-                    da.bankGroup, da.bank, da.row, da.col};
-        if (!issueOrTrack(cas, demandHint_))
+        if (!dram_.isOpen(flat)) {
+            if (!acts_blocked)
+                visit(Candidate{Command{CmdType::ACT, head.rank,
+                                        head.bankGroup, head.bank,
+                                        head.row, 0},
+                                flat, 0, queue.front().seq});
             continue;
+        }
 
-        ++hitStreak_[flat];
+        // Open bank: one pass finds the oldest read hit, the oldest
+        // write hit and the oldest conflict.
+        const std::uint32_t open_row = dram_.openRow(flat);
+        std::size_t read = kNone;
+        std::size_t write = kNone;
+        std::size_t conflict = kNone;
+        for (std::size_t i = 0; i < queue.size(); ++i) {
+            const Request &req = queue[i].req;
+            std::size_t &first = req.daddr.row != open_row ? conflict
+                                 : req.type == ReqType::Read ? read
+                                                             : write;
+            if (first == kNone)
+                first = i;
+            if (read != kNone && write != kNone && conflict != kNone)
+                break;
+        }
+
+        // At the streak cap a hit yields to an older conflict, and a
+        // conflict's PRE stops waiting for the queued hits.
+        const bool at_cap = hitStreak_[flat] >= config_.frfcfsCap;
+        for (const std::size_t hit : {read, write}) {
+            if (hit == kNone || (at_cap && conflict < hit))
+                continue;
+            const Entry &entry = queue[hit];
+            const DramAddress &da = entry.req.daddr;
+            visit(Candidate{Command{hit == read ? CmdType::RD
+                                                : CmdType::WR,
+                                    da.rank, da.bankGroup, da.bank,
+                                    da.row, da.col},
+                            flat, static_cast<std::uint32_t>(hit),
+                            entry.seq});
+        }
+        const bool any_hit = read != kNone || write != kNone;
+        if (conflict != kNone && (at_cap || !any_hit))
+            visit(Candidate{Command{CmdType::PRE, head.rank,
+                                    head.bankGroup, head.bank, 0, 0},
+                            flat, 0, queue[conflict].seq});
+    }
+}
+
+bool
+MemoryController::tickDemand()
+{
+    // FR-FCFS: the oldest legal row hit, else the oldest legal PRE or
+    // ACT.  Every declined candidate's legality instant feeds the
+    // next-work hint.
+    Candidate hit{};
+    Candidate row{};
+    bool have_hit = false;
+    bool have_row = false;
+    forEachDemandCandidate([&](const Candidate &cand) {
+        const Cycle at = dram_.earliestIssue(cand.cmd);
+        if (at > now_) {
+            demandHint_ = std::min(demandHint_, at);
+            return;
+        }
+        const bool is_cas = cand.cmd.type == CmdType::RD ||
+                            cand.cmd.type == CmdType::WR;
+        Candidate &best = is_cas ? hit : row;
+        bool &have = is_cas ? have_hit : have_row;
+        if (!have || cand.seq < best.seq) {
+            best = cand;
+            have = true;
+        }
+    });
+
+    if (have_hit) {
+        issueNow(hit.cmd);
+        ++hitStreak_[hit.flatBank];
         bump(Stat::RowHits);
-        const Cycle done = is_read
+        const Cycle done = hit.cmd.type == CmdType::RD
                                ? now_ + spec_.timing.readLatency()
                                : now_ + spec_.timing.writeLatency();
-        Entry entry = std::move(*it);
-        queue_.erase(it);
+        std::vector<Entry> &queue = bankQueues_[hit.flatBank];
+        Entry entry = std::move(queue[hit.index]);
+        queue.erase(queue.begin() + hit.index);
+        --queued_;
+        if (queue.empty()) {
+            const std::uint32_t slot = activeSlot_[hit.flatBank];
+            activeBanks_[slot] = activeBanks_.back();
+            activeSlot_[activeBanks_[slot]] = slot;
+            activeBanks_.pop_back();
+        }
         finishRequest(entry, done);
         return true;
     }
+    if (!have_row)
+        return false;
 
-    // Pass 2: oldest-first, issue whatever the head-of-line request
-    // needs next (PRE on conflict, ACT on closed bank).
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        const DramAddress &da = it->req.daddr;
-        if (blocked_by_drain(da))
-            continue;
-
-        const bool open = dram_.isOpen(da.rank, da.bankGroup, da.bank);
-        const std::uint32_t flat = mapper_.flatBank(da);
-
-        if (open && dram_.openRow(da.rank, da.bankGroup, da.bank) !=
-                        da.row) {
-            // Row conflict: close the current row -- but not while
-            // another queued request still hits it (open-page policy;
-            // the streak cap bounds how long conflicts can starve).
-            const std::uint32_t open_row =
-                dram_.openRow(da.rank, da.bankGroup, da.bank);
-            if (preDeferredForPendingHit(da, open_row))
-                continue;
-            Command pre{CmdType::PRE, da.rank, da.bankGroup, da.bank, 0,
-                        0};
-            if (issueOrTrack(pre, demandHint_)) {
-                hitStreak_[flat] = 0;
-                bump(Stat::RowConflicts);
-                return true;
-            }
-            continue;
-        }
-        if (!open) {
-            if (acts_blocked)
-                continue; // honour the ABOACT budget
-            Command act{CmdType::ACT, da.rank, da.bankGroup, da.bank,
-                        da.row, 0};
-            if (issueOrTrack(act, demandHint_)) {
-                hitStreak_[flat] = 0;
-                mitigation_->onActivate(flat, da.row, now_);
-                bump(Stat::RowMisses);
-                return true;
-            }
-            continue;
-        }
-        // Open with the right row but the CAS was not ready in pass 1
-        // (or was capped); nothing else to do for this entry.
+    issueNow(row.cmd);
+    hitStreak_[row.flatBank] = 0;
+    if (row.cmd.type == CmdType::PRE) {
+        bump(Stat::RowConflicts);
+    } else {
+        mitigation_->onActivate(row.flatBank, row.cmd.row, now_);
+        bump(Stat::RowMisses);
     }
-    return false;
+    return true;
 }
 
 void
@@ -584,62 +603,16 @@ Cycle
 MemoryController::nextDemandIssueAt() const
 {
     // Demand: the earliest cycle at which any command tickDemand()
-    // would be willing to issue -- CAS on a row hit, PRE on a row
-    // conflict, ACT on a closed bank -- becomes legal under the DRAM
-    // timing state.  The deferral predicates are the same functions
-    // tickDemand() calls: they depend only on queue content,
-    // open-row state, hit streaks, and the drain/Alert blocks, all
-    // of which are frozen while no command issues, so a candidate
-    // declined today stays declined until some other candidate fires
-    // first.
-    if (queue_.empty())
-        return kNeverCycle;
-
-    const bool refresh_drain = maint_.active && !maint_.isRfm;
-    const bool rfmpb_drain =
-        maint_.active && maint_.isRfm && maint_.perBank;
-    const bool acts_blocked =
-        prac_->alertAsserted() &&
-        prac_->actsSinceAlert() >= spec_.prac.aboAct;
-
-    auto blocked_by_drain = [&](const DramAddress &da) {
-        if (refresh_drain && da.rank == maint_.rank)
-            return true;
-        if (rfmpb_drain && mapper_.flatBank(da) == maint_.flatBank)
-            return true;
-        return false;
-    };
-
+    // would be willing to issue becomes legal under the DRAM timing
+    // state.  The candidates are the ones tickDemand() weighs, and
+    // what selects them -- queue content, open rows, hit streaks, the
+    // drain and Alert blocks -- is frozen while no command issues, so
+    // a candidate declined today stays declined until some other
+    // candidate fires first.
     Cycle next = kNeverCycle;
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        const DramAddress &da = it->req.daddr;
-        if (blocked_by_drain(da))
-            continue;
-        const bool open = dram_.isOpen(da.rank, da.bankGroup, da.bank);
-        Command cmd{CmdType::ACT, da.rank, da.bankGroup, da.bank,
-                    da.row, 0};
-        if (open && dram_.openRow(da.rank, da.bankGroup, da.bank) ==
-                        da.row) {
-            if (hitDeferredAtCap(it, da))
-                continue;
-            cmd = Command{it->req.type == ReqType::Read ? CmdType::RD
-                                                        : CmdType::WR,
-                          da.rank, da.bankGroup, da.bank, da.row,
-                          da.col};
-        } else if (open) {
-            if (preDeferredForPendingHit(
-                    da, dram_.openRow(da.rank, da.bankGroup,
-                                      da.bank)))
-                continue;
-            cmd = Command{CmdType::PRE, da.rank, da.bankGroup,
-                          da.bank, 0, 0};
-        } else if (acts_blocked) {
-            continue; // the ABOACT budget blocks new activations
-        }
-        next = std::min(next, dram_.earliestIssue(cmd));
-        if (next <= now_)
-            return now_;
-    }
+    forEachDemandCandidate([&](const Candidate &cand) {
+        next = std::min(next, dram_.earliestIssue(cand.cmd));
+    });
     return next;
 }
 

@@ -25,7 +25,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -128,7 +127,7 @@ class MemoryController
                      StatSet *stats = nullptr);
 
     /** Whether the request queue can take another entry. */
-    bool canAccept() const { return queue_.size() < config_.queueCapacity; }
+    bool canAccept() const { return queued_ < config_.queueCapacity; }
 
     /** Enqueue a request; returns false when the queue is full. */
     bool enqueue(Request request);
@@ -174,7 +173,7 @@ class MemoryController
     void skipTo(Cycle target);
 
     Cycle now() const { return now_; }
-    std::size_t queueDepth() const { return queue_.size(); }
+    std::size_t queueDepth() const { return queued_; }
 
     DramDevice &dram() { return dram_; }
     const DramDevice &dram() const { return dram_; }
@@ -241,6 +240,15 @@ class MemoryController
         std::uint32_t rfmsRemaining = 0;
     };
 
+    /** A demand command tickDemand() may issue this cycle. */
+    struct Candidate
+    {
+        Command cmd;
+        std::uint32_t flatBank;
+        std::uint32_t index;    //!< position in the bank queue (CAS)
+        std::uint64_t seq;      //!< age of the request it serves
+    };
+
     void startAboServiceIfNeeded();
     void startProactiveRfmIfNeeded();
     void startRefreshIfNeeded();
@@ -248,16 +256,21 @@ class MemoryController
     bool tickDemand();
 
     /**
-     * FR-FCFS deferral predicates, shared between tickDemand() and
-     * nextWorkAt() so the scheduler and its fast-forward bound
-     * cannot drift: a row hit is declined at the streak cap while an
-     * older same-bank conflict starves, and a conflict PRE is held
-     * while a queued request still hits the open row below the cap.
+     * Call @p visit for each demand candidate, shared between
+     * tickDemand() and nextDemandIssueAt() so the scheduler and its
+     * fast-forward bound cannot drift.  Per bank the drains leave
+     * schedulable there are at most three: the oldest read hit and
+     * the oldest write hit, each unless the bank's streak is at the
+     * cap and an older request conflicts (the starvation case the
+     * cap exists for); the oldest conflict's PRE, held below the cap
+     * while a queued request still hits the open row (open-page
+     * policy); or, on a closed bank, the oldest request's ACT unless
+     * the ABOACT budget is spent.  Every other undeferred request of
+     * the bank needs the same command as one of these, legal on the
+     * same cycle, and is younger (src/mem/DESIGN.md).
      */
-    bool hitDeferredAtCap(std::deque<Entry>::const_iterator it,
-                          const DramAddress &da) const;
-    bool preDeferredForPendingHit(const DramAddress &da,
-                                  std::uint32_t open_row) const;
+    template <typename Visit>
+    void forEachDemandCandidate(Visit &&visit) const;
     /**
      * Exact event bounds backing nextWorkAt().  Each returns the
      * first cycle the corresponding tick path could issue a command,
@@ -290,6 +303,7 @@ class MemoryController
     };
 
     bool issueOrTrack(const Command &cmd, Cycle &hint);
+    void issueNow(const Command &cmd);
     void finishRequest(Entry &entry, Cycle done_at);
     void countRfm(RfmReason reason, bool per_bank);
 
@@ -318,7 +332,16 @@ class MemoryController
 
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 0;
-    std::deque<Entry> queue_;
+
+    /**
+     * The request queue, indexed by flat bank: each bank's requests
+     * oldest first, the banks that hold any (in no particular order;
+     * activeSlot_ is each one's position there), and the total.
+     */
+    std::vector<std::vector<Entry>> bankQueues_;
+    std::vector<std::uint32_t> activeBanks_;
+    std::vector<std::uint32_t> activeSlot_;
+    std::size_t queued_ = 0;
 
     /** Completed-in-future requests waiting for their done time. */
     struct InFlight
