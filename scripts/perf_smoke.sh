@@ -11,9 +11,10 @@
 # cost, not to pin the exact speedup.
 #
 # Also archives the scheduler-efficiency counters (ticks fired vs
-# cycles jumped, nextWorkAt cache behaviour, queue occupancy) from a
-# defense_matrix_perf smoke run next to OUT_JSON, so CI keeps a
-# history of how much work the event scheduler actually skips.
+# cycles jumped, nextWorkAt cache behaviour, banks evaluated, queue
+# occupancy) from a defense_matrix_perf smoke run next to OUT_JSON,
+# so CI keeps a history of how much work the event scheduler
+# actually skips.
 #
 # usage: perf_smoke.sh [BUILD_DIR [OUT_JSON]]
 #   PERF_SMOKE_FLOOR    minimum sweep speedup   (default 2.0)
@@ -74,7 +75,8 @@ for row in rows:
     print(f"perf_smoke: sched {label}: {ticks} ticks fired, "
           f"{jumped} cycles jumped, "
           f"{row['nextwork_cache_hits']} nextWorkAt cache hits, "
-          f"{row['nextwork_rebuilds']} rebuilds")
+          f"{row['nextwork_rebuilds']} rebuilds, "
+          f"{row['banks_evaluated']} banks evaluated")
     if ticks <= 0:
         failures.append(f"{label}: no ticks fired")
     if jumped <= 0:

@@ -113,6 +113,41 @@ class StatSet
     std::map<std::string, Histogram> histograms_;
 };
 
+/**
+ * One StatSet counter bumped from a hot path.  A name-keyed
+ * StatSet::counter() lookup costs more than most events it counts,
+ * and a name past the SSO limit allocates on every call; the handle
+ * resolves its counter once, on the first increment, so a stats dump
+ * never gains an entry the run did not bump.  Without a StatSet it is
+ * a no-op.  @p name must outlive the handle (a string literal), and
+ * the StatSet must not be reset while the handle is live.
+ */
+class CounterHandle
+{
+  public:
+    CounterHandle() = default;
+    CounterHandle(StatSet *stats, const char *name)
+        : stats_(stats), name_(name)
+    {
+    }
+
+    CounterHandle &
+    operator++()
+    {
+        if (stats_) {
+            if (!slot_)
+                slot_ = &stats_->counter(name_);
+            ++*slot_;
+        }
+        return *this;
+    }
+
+  private:
+    StatSet *stats_ = nullptr;
+    const char *name_ = nullptr;
+    std::uint64_t *slot_ = nullptr;
+};
+
 } // namespace pracleak
 
 #endif // PRACLEAK_COMMON_STATS_H

@@ -123,8 +123,13 @@ CacheHierarchy::CacheHierarchy(const CacheHierConfig &config,
                                std::uint32_t num_cores,
                                std::vector<MemoryController *> mems,
                                StatSet *stats)
-    : config_(config), mems_(std::move(mems)), stats_(stats),
-      llc_(config.llc),
+    : config_(config), mems_(std::move(mems)),
+      l1Hits_(stats, "cache.l1_hits"), l2Hits_(stats, "cache.l2_hits"),
+      llcHits_(stats, "cache.llc_hits"),
+      llcMisses_(stats, "cache.llc_misses"),
+      writebacks_(stats, "cache.writebacks"),
+      droppedWritebacks_(stats, "cache.dropped_writebacks"),
+      mshrMerges_(stats, "cache.mshr_merges"), llc_(config.llc),
       mshrCapacity_(static_cast<std::size_t>(config.mshrsPerCore) *
                     num_cores)
 {
@@ -155,26 +160,22 @@ CacheHierarchy::lookupHierarchy(std::uint32_t core, Addr line,
 {
     latency = config_.l1.latency;
     if (l1_[core].lookup(line)) {
-        if (stats_)
-            ++stats_->counter("cache.l1_hits");
+        ++l1Hits_;
         return true;
     }
     latency += config_.l2.latency;
     if (l2_[core].lookup(line)) {
-        if (stats_)
-            ++stats_->counter("cache.l2_hits");
+        ++l2Hits_;
         fill(core, line, false);
         return true;
     }
     latency += config_.llc.latency;
     if (llc_.lookup(line)) {
-        if (stats_)
-            ++stats_->counter("cache.llc_hits");
+        ++llcHits_;
         fill(core, line, false);
         return true;
     }
-    if (stats_)
-        ++stats_->counter("cache.llc_misses");
+    ++llcMisses_;
     return false;
 }
 
@@ -188,10 +189,9 @@ CacheHierarchy::writeback(Addr line)
         // Queue full: drop the writeback's bandwidth cost rather than
         // stalling the hierarchy; rare, and data correctness is not
         // modeled.
-        if (stats_)
-            ++stats_->counter("cache.dropped_writebacks");
-    } else if (stats_) {
-        ++stats_->counter("cache.writebacks");
+        ++droppedWritebacks_;
+    } else {
+        ++writebacks_;
     }
 }
 
@@ -215,8 +215,7 @@ CacheHierarchy::missToDram(std::uint32_t core, Addr line, Waiter waiter)
     if (it != mshrs_.end()) {
         // Merge into the outstanding miss.
         it->second.waiters.push_back(std::move(waiter));
-        if (stats_)
-            ++stats_->counter("cache.mshr_merges");
+        ++mshrMerges_;
         return true;
     }
 

@@ -170,7 +170,13 @@ class CacheHierarchy
 
     CacheHierConfig config_;
     std::vector<MemoryController *> mems_;
-    StatSet *stats_;
+    CounterHandle l1Hits_;
+    CounterHandle l2Hits_;
+    CounterHandle llcHits_;
+    CounterHandle llcMisses_;
+    CounterHandle writebacks_;
+    CounterHandle droppedWritebacks_;
+    CounterHandle mshrMerges_;
 
     std::vector<TagArray> l1_;  //!< per core
     std::vector<TagArray> l2_;  //!< per core

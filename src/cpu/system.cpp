@@ -254,12 +254,15 @@ System::run()
         ch.sched.nextWorkHintRebuilds =
             sc.nextWorkHintRebuilds -
             start_sched[c].nextWorkHintRebuilds;
+        ch.sched.banksEvaluated =
+            sc.banksEvaluated - start_sched[c].banksEvaluated;
         result.sched.ticksFired += ch.sched.ticksFired;
         result.sched.cyclesJumped += ch.sched.cyclesJumped;
         result.sched.nextWorkCacheHits += ch.sched.nextWorkCacheHits;
         result.sched.nextWorkRebuilds += ch.sched.nextWorkRebuilds;
         result.sched.nextWorkHintRebuilds +=
             ch.sched.nextWorkHintRebuilds;
+        result.sched.banksEvaluated += ch.sched.banksEvaluated;
         // Ride the StatSet too, so stat dumps explain the scheduler
         // without a RunResult in hand.
         stats_.counter("sched.ticks_fired") += ch.sched.ticksFired;
@@ -271,6 +274,8 @@ System::run()
             ch.sched.nextWorkRebuilds;
         stats_.counter("sched.nextwork_hint_rebuilds") +=
             ch.sched.nextWorkHintRebuilds;
+        stats_.counter("sched.banks_evaluated") +=
+            ch.sched.banksEvaluated;
 
         result.energyCounts += ch.energyCounts;
         result.energy += ch.energy;

@@ -11,6 +11,13 @@ DramDevice::DramDevice(const DramSpec &spec)
       banks_(spec.org.totalBanks()),
       ranks_(spec.org.ranks)
 {
+    for (std::uint32_t r = 0; r < spec_.org.ranks; ++r)
+        for (std::uint32_t bg = 0; bg < spec_.org.bankGroups; ++bg)
+            for (std::uint32_t b = 0; b < spec_.org.banksPerGroup; ++b) {
+                BankState &bank = banks_[bankIndex(r, bg, b)];
+                bank.rank = static_cast<std::uint16_t>(r);
+                bank.bankGroup = static_cast<std::uint16_t>(bg);
+            }
     for (auto &rank : ranks_) {
         rank.actTimes.fill(kNeverCycle);
         rank.lastActByBg.assign(spec_.org.bankGroups, kNeverCycle);
@@ -63,11 +70,13 @@ DramDevice::rankBlockedUntil(std::uint32_t rank) const
 Cycle
 DramDevice::earliestIssue(const Command &cmd) const
 {
+    const auto flat = static_cast<std::uint32_t>(
+        bankIndex(cmd.rank, cmd.bankGroup, cmd.bank));
     switch (cmd.type) {
-      case CmdType::ACT: return earliestAct(cmd);
-      case CmdType::PRE: return earliestPre(cmd);
-      case CmdType::RD: return earliestCas(cmd, true);
-      case CmdType::WR: return earliestCas(cmd, false);
+      case CmdType::ACT: return earliestAct(flat);
+      case CmdType::PRE: return earliestPre(flat);
+      case CmdType::RD: return earliestCas(flat, cmd.row, true);
+      case CmdType::WR: return earliestCas(flat, cmd.row, false);
       case CmdType::REFab: return earliestRef(cmd);
       case CmdType::RFMab: return earliestRfm();
       case CmdType::RFMpb: return earliestRfmPb(cmd);
@@ -80,69 +89,6 @@ DramDevice::canIssue(const Command &cmd, Cycle now) const
 {
     const Cycle earliest = earliestIssue(cmd);
     return earliest != kNeverCycle && earliest <= now;
-}
-
-Cycle
-DramDevice::earliestAct(const Command &cmd) const
-{
-    const BankState &bank = bankOf(cmd);
-    if (bank.open)
-        return kNeverCycle;
-
-    const RankState &rank = ranks_[cmd.rank];
-    Cycle t = std::max({bank.nextAct, rank.blockedUntil,
-                        channelBlockedUntil_});
-
-    // tFAW: at most four ACTs per rank per window.
-    const Cycle oldest = rank.actTimes[rank.actPtr];
-    if (oldest != kNeverCycle)
-        t = std::max(t, oldest + spec_.timing.tFAW);
-
-    // tRRD: ACT-to-ACT spacing within the rank.
-    if (rank.lastActAny != kNeverCycle)
-        t = std::max(t, rank.lastActAny + spec_.timing.tRRD_S);
-    const Cycle last_same_bg = rank.lastActByBg[cmd.bankGroup];
-    if (last_same_bg != kNeverCycle)
-        t = std::max(t, last_same_bg + spec_.timing.tRRD_L);
-
-    return t;
-}
-
-Cycle
-DramDevice::earliestPre(const Command &cmd) const
-{
-    const BankState &bank = bankOf(cmd);
-    if (!bank.open)
-        return kNeverCycle;
-    return std::max({bank.nextPre, ranks_[cmd.rank].blockedUntil,
-                     channelBlockedUntil_});
-}
-
-Cycle
-DramDevice::earliestCas(const Command &cmd, bool is_read) const
-{
-    const BankState &bank = bankOf(cmd);
-    if (!bank.open || bank.row != cmd.row)
-        return kNeverCycle;
-
-    const RankState &rank = ranks_[cmd.rank];
-    Cycle t = std::max({is_read ? bank.nextRd : bank.nextWr,
-                        rank.blockedUntil, channelBlockedUntil_});
-    t = std::max(t, rank.nextCasAny);
-    t = std::max(t, rank.nextCasByBg[cmd.bankGroup]);
-    // The data bus changes direction channel-wide; tWTR additionally
-    // gates same-rank reads after a write.
-    t = std::max(t, is_read ? busRdAllowedAt_ : busWrAllowedAt_);
-    if (is_read)
-        t = std::max(t, rank.rdAllowedAt);
-
-    // The data bus must be free when this burst's data would start.
-    const Cycle data_lead =
-        is_read ? spec_.timing.tCL : spec_.timing.tCWL;
-    if (busFreeAt_ > t + data_lead)
-        t = busFreeAt_ - data_lead;
-
-    return t;
 }
 
 Cycle

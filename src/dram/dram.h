@@ -17,6 +17,7 @@
 #ifndef PRACLEAK_DRAM_DRAM_H
 #define PRACLEAK_DRAM_DRAM_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -73,6 +74,30 @@ class DramDevice
      */
     Cycle earliestIssue(const Command &cmd) const;
 
+    /**
+     * The per-bank rules earliestIssue() dispatches to, by flat bank
+     * index: an ACT, a PRE, and a RD (@p is_read) or WR to @p row.
+     * The scheduler calls them directly so it can weigh a candidate
+     * without building its Command.
+     */
+    Cycle earliestAct(std::uint32_t flat_bank) const;
+    Cycle earliestPre(std::uint32_t flat_bank) const;
+    Cycle earliestCas(std::uint32_t flat_bank, std::uint32_t row,
+                      bool is_read) const;
+
+    /**
+     * Channel-wide flat index of a bank, in DramOrg::flatBank() order
+     * (rank-major, then bank group, then bank).
+     */
+    std::size_t
+    bankIndex(std::uint32_t rank, std::uint32_t bg,
+              std::uint32_t bank) const
+    {
+        return (static_cast<std::size_t>(rank) * spec_.org.bankGroups +
+                bg) * spec_.org.banksPerGroup +
+               bank;
+    }
+
     /** True if @p cmd may issue exactly at @p now. */
     bool canIssue(const Command &cmd, Cycle now) const;
 
@@ -93,10 +118,7 @@ class DramDevice
         return banks_[bankIndex(rank, bg, bank)].row;
     }
 
-    /**
-     * The same two by channel-wide flat bank index
-     * (DramOrg::flatBank(), which orders banks like the device does).
-     */
+    /** The same two by flat bank index (bankIndex()). */
     bool isOpen(std::uint32_t flat_bank) const
     {
         return banks_[flat_bank].open;
@@ -142,8 +164,10 @@ class DramDevice
   private:
     struct BankState
     {
-        bool open = false;
         std::uint32_t row = 0;
+        std::uint16_t rank = 0;         //!< coordinates of the bank,
+        std::uint16_t bankGroup = 0;    //!< for the flat-bank rules
+        bool open = false;
         Cycle nextAct = 0;
         Cycle nextPre = 0;
         Cycle nextRd = 0;
@@ -162,20 +186,9 @@ class DramDevice
         Cycle rdAllowedAt = 0;              //!< tWTR gate (same rank)
     };
 
-    std::size_t
-    bankIndex(std::uint32_t rank, std::uint32_t bg,
-              std::uint32_t bank) const
-    {
-        return (static_cast<std::size_t>(rank) * spec_.org.bankGroups +
-                bg) * spec_.org.banksPerGroup +
-               bank;
-    }
     const BankState &bankOf(const Command &cmd) const;
     BankState &bankOf(const Command &cmd);
 
-    Cycle earliestAct(const Command &cmd) const;
-    Cycle earliestPre(const Command &cmd) const;
-    Cycle earliestCas(const Command &cmd, bool is_read) const;
     Cycle earliestRef(const Command &cmd) const;
     Cycle earliestRfm() const;
     Cycle earliestRfmPb(const Command &cmd) const;
@@ -198,6 +211,73 @@ class DramDevice
     std::function<void(const Command &, Cycle)> traceSink_;
     std::array<std::uint64_t, 7> issueCounts_{};
 };
+
+// The per-bank rules are inline: the scheduler weighs up to three
+// candidates per bank it evaluates.
+
+inline Cycle
+DramDevice::earliestAct(std::uint32_t flat_bank) const
+{
+    const BankState &bank = banks_[flat_bank];
+    if (bank.open)
+        return kNeverCycle;
+
+    const RankState &rank = ranks_[bank.rank];
+    Cycle t = std::max({bank.nextAct, rank.blockedUntil,
+                        channelBlockedUntil_});
+
+    // tFAW: at most four ACTs per rank per window.
+    const Cycle oldest = rank.actTimes[rank.actPtr];
+    if (oldest != kNeverCycle)
+        t = std::max(t, oldest + spec_.timing.tFAW);
+
+    // tRRD: ACT-to-ACT spacing within the rank.
+    if (rank.lastActAny != kNeverCycle)
+        t = std::max(t, rank.lastActAny + spec_.timing.tRRD_S);
+    const Cycle last_same_bg = rank.lastActByBg[bank.bankGroup];
+    if (last_same_bg != kNeverCycle)
+        t = std::max(t, last_same_bg + spec_.timing.tRRD_L);
+
+    return t;
+}
+
+inline Cycle
+DramDevice::earliestPre(std::uint32_t flat_bank) const
+{
+    const BankState &bank = banks_[flat_bank];
+    if (!bank.open)
+        return kNeverCycle;
+    return std::max({bank.nextPre, ranks_[bank.rank].blockedUntil,
+                     channelBlockedUntil_});
+}
+
+inline Cycle
+DramDevice::earliestCas(std::uint32_t flat_bank, std::uint32_t row,
+                        bool is_read) const
+{
+    const BankState &bank = banks_[flat_bank];
+    if (!bank.open || bank.row != row)
+        return kNeverCycle;
+
+    const RankState &rank = ranks_[bank.rank];
+    Cycle t = std::max({is_read ? bank.nextRd : bank.nextWr,
+                        rank.blockedUntil, channelBlockedUntil_});
+    t = std::max(t, rank.nextCasAny);
+    t = std::max(t, rank.nextCasByBg[bank.bankGroup]);
+    // The data bus changes direction channel-wide; tWTR additionally
+    // gates same-rank reads after a write.
+    t = std::max(t, is_read ? busRdAllowedAt_ : busWrAllowedAt_);
+    if (is_read)
+        t = std::max(t, rank.rdAllowedAt);
+
+    // The data bus must be free when this burst's data would start.
+    const Cycle data_lead =
+        is_read ? spec_.timing.tCL : spec_.timing.tCWL;
+    if (busFreeAt_ > t + data_lead)
+        t = busFreeAt_ - data_lead;
+
+    return t;
+}
 
 } // namespace pracleak
 

@@ -1,7 +1,6 @@
 #include "mem/controller.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "common/log.h"
 #include "mitigation/registry.h"
@@ -9,23 +8,24 @@
 
 namespace pracleak {
 
-namespace {
-
-/** StatSet names of MemoryController::Stat, in enum order. */
-constexpr const char *kStatNames[] = {
-    "mem.reads",       "mem.writes",        "mem.row_hits",
-    "mem.row_misses",  "mem.row_conflicts", "mem.refreshes",
-    "mem.abo_rfms",    "mem.acb_rfms",      "mem.tb_rfms",
-    "mem.tb_rfms_pb",  "mem.random_rfms",   "mem.graphene_rfms",
-    "mem.pb_rfms",
-};
-
-} // namespace
+MemoryController::MemStats::MemStats(StatSet *stats)
+    : reads(stats, "mem.reads"), writes(stats, "mem.writes"),
+      rowHits(stats, "mem.row_hits"), rowMisses(stats, "mem.row_misses"),
+      rowConflicts(stats, "mem.row_conflicts"),
+      refreshes(stats, "mem.refreshes"),
+      aboRfms(stats, "mem.abo_rfms"), acbRfms(stats, "mem.acb_rfms"),
+      tbRfms(stats, "mem.tb_rfms"), tbRfmsPb(stats, "mem.tb_rfms_pb"),
+      randomRfms(stats, "mem.random_rfms"),
+      grapheneRfms(stats, "mem.graphene_rfms"),
+      pbRfms(stats, "mem.pb_rfms")
+{
+}
 
 MemoryController::MemoryController(const DramSpec &spec,
                                    const ControllerConfig &config,
                                    StatSet *stats)
-    : spec_(spec), config_(config), stats_(stats), dram_(spec),
+    : spec_(spec), config_(config), stats_(stats), memStats_(stats),
+      dram_(spec),
       mapper_(spec.org, config.mapping, config.interleave)
 {
     const std::string &defense = config_.mitigation;
@@ -53,9 +53,9 @@ MemoryController::MemoryController(const DramSpec &spec,
         nextRefreshAt_[r] =
             spec.timing.tREFI * (r + 1) / spec.org.ranks;
     }
-    hitStreak_.assign(spec.org.totalBanks(), 0);
     bankQueues_.resize(spec.org.totalBanks());
     activeSlot_.assign(spec.org.totalBanks(), 0);
+    slots_.resize(spec.org.totalBanks());
 
     // Resolve the queue-occupancy histogram once: enqueue() is too
     // hot for a per-call map lookup.  Depth in requests, one bucket
@@ -82,19 +82,26 @@ MemoryController::enqueue(Request request)
     request.daddr = mapper_.map(request.addr);
     if (tap_)
         tap_->onEnqueue(request, now_);
-    const Stat counted =
-        request.type == ReqType::Read ? Stat::Reads : Stat::Writes;
+    ++(request.type == ReqType::Read ? memStats_.reads
+                                     : memStats_.writes);
     const std::uint32_t flat = mapper_.flatBank(request.daddr);
     std::vector<Entry> &queue = bankQueues_[flat];
+    BankSlot &slot = slots_[flat];
+    const auto index = static_cast<std::uint32_t>(queue.size());
+    const std::uint64_t seq = nextSeq_++;
     if (queue.empty()) {
         activeSlot_[flat] =
             static_cast<std::uint32_t>(activeBanks_.size());
         activeBanks_.push_back(flat);
+        slot.headSeq = seq;
     }
-    queue.push_back(Entry{std::move(request), nextSeq_++});
+    if (slot.summaryValid)
+        slot.note(request, index, seq);
+    // The new request may be legal before anything the bank offered.
+    slot.wake = 0;
+    queue.push_back(Entry{std::move(request), seq});
     ++queued_;
     nextWorkCacheValid_ = false;
-    bump(counted);
     if (queueOccupancy_)
         queueOccupancy_->sample(static_cast<double>(queued_));
     if (bus_)
@@ -107,6 +114,42 @@ MemoryController::finishRequest(Entry &entry, Cycle done_at)
 {
     entry.req.completed = done_at;
     inFlight_.push_back(InFlight{std::move(entry), done_at});
+    trackFlight(inFlight_.back());
+}
+
+void
+MemoryController::trackFlight(const InFlight &flight)
+{
+    nextDoneAt_ = std::min(nextDoneAt_, flight.doneAt);
+    if (stats_ || flight.entry.req.onComplete)
+        nextObservedDoneAt_ =
+            std::min(nextObservedDoneAt_, flight.doneAt);
+}
+
+void
+MemoryController::deliverFinished()
+{
+    // Deliver finished requests and refold the bounds over the
+    // flights left behind.
+    nextDoneAt_ = kNeverCycle;
+    nextObservedDoneAt_ = kNeverCycle;
+    for (std::size_t i = 0; i < inFlight_.size();) {
+        if (inFlight_[i].doneAt > now_) {
+            trackFlight(inFlight_[i]);
+            ++i;
+            continue;
+        }
+        Entry entry = std::move(inFlight_[i].entry);
+        inFlight_[i] = std::move(inFlight_.back());
+        inFlight_.pop_back();
+        if (stats_ && entry.req.type == ReqType::Read) {
+            if (!readLatency_)
+                readLatency_ = &stats_->histogram("mem.read_latency_ns");
+            readLatency_->sample(cyclesToNs(entry.req.latency()));
+        }
+        if (entry.req.onComplete)
+            entry.req.onComplete(entry.req);
+    }
 }
 
 void
@@ -190,21 +233,13 @@ void
 MemoryController::issueNow(const Command &cmd)
 {
     dram_.issue(cmd, now_);
+    // A PRE changes what its bank can offer, and a maintenance drain
+    // may close a bank before its wake: evaluate the bank afresh.
+    if (cmd.type == CmdType::PRE)
+        slots_[dram_.bankIndex(cmd.rank, cmd.bankGroup, cmd.bank)].wake =
+            0;
     if (bus_)
         bus_->onCommand(cmd, now_);
-}
-
-void
-MemoryController::bump(Stat stat)
-{
-    static_assert(std::size(kStatNames) ==
-                  static_cast<std::size_t>(Stat::Count));
-    if (!stats_)
-        return;
-    const auto index = static_cast<std::size_t>(stat);
-    if (!statSlots_[index])
-        statSlots_[index] = &stats_->counter(kStatNames[index]);
-    ++*statSlots_[index];
 }
 
 void
@@ -213,22 +248,22 @@ MemoryController::countRfm(RfmReason reason, bool per_bank)
     ++rfmCounts_[static_cast<std::size_t>(reason)];
     switch (reason) {
       case RfmReason::Abo:
-        bump(Stat::AboRfms);
+        ++memStats_.aboRfms;
         break;
       case RfmReason::Acb:
-        bump(Stat::AcbRfms);
+        ++memStats_.acbRfms;
         break;
       case RfmReason::TimingBased:
-        bump(per_bank ? Stat::TbRfmsPb : Stat::TbRfms);
+        ++(per_bank ? memStats_.tbRfmsPb : memStats_.tbRfms);
         break;
       case RfmReason::Random:
-        bump(Stat::RandomRfms);
+        ++memStats_.randomRfms;
         break;
       case RfmReason::Graphene:
-        bump(Stat::GrapheneRfms);
+        ++memStats_.grapheneRfms;
         break;
       case RfmReason::PerBank:
-        bump(Stat::PbRfms);
+        ++memStats_.pbRfms;
         break;
     }
     mitigation_->onRfmIssued(reason, per_bank, now_);
@@ -306,13 +341,13 @@ MemoryController::tickMaintenance()
 
     nextRefreshAt_[maint_.rank] += spec_.timing.tREFI;
     maint_.active = false;
-    bump(Stat::Refreshes);
+    ++memStats_.refreshes;
     mitigation_->onRefresh(maint_.rank, now_);
     return true;
 }
 
 template <typename Visit>
-void
+Cycle
 MemoryController::forEachDemandCandidate(Visit &&visit) const
 {
     const bool refresh_drain = maint_.active && !maint_.isRfm;
@@ -322,83 +357,108 @@ MemoryController::forEachDemandCandidate(Visit &&visit) const
         prac_->alertAsserted() &&
         prac_->actsSinceAlert() >= spec_.prac.aboAct;
     const std::uint32_t banks_per_rank = spec_.org.banksPerRank();
-    constexpr std::size_t kNone = ~std::size_t{0};
+    Cycle skipped = kNeverCycle;
 
     for (const std::uint32_t flat : activeBanks_) {
         if (refresh_drain && flat / banks_per_rank == maint_.rank)
             continue;
         if (rfmpb_drain && flat == maint_.flatBank)
             continue;
-        const std::vector<Entry> &queue = bankQueues_[flat];
-        const DramAddress &head = queue.front().req.daddr;
+        BankSlot &slot = slots_[flat];
+        if (slot.wake > now_) {
+            skipped = std::min(skipped, slot.wake);
+            continue;
+        }
+        ++sched_.banksEvaluated;
 
         if (!dram_.isOpen(flat)) {
+            // The ACT bounds the bank even while the ABOACT budget
+            // holds it back, so the wake survives the Alert.
+            slot.wake = dram_.earliestAct(flat);
             if (!acts_blocked)
-                visit(Candidate{Command{CmdType::ACT, head.rank,
-                                        head.bankGroup, head.bank,
-                                        head.row, 0},
-                                flat, 0, queue.front().seq});
+                visit(Candidate{CmdType::ACT, flat, 0, slot.headSeq,
+                                slot.wake});
             continue;
         }
 
-        // Open bank: one pass finds the oldest read hit, the oldest
-        // write hit and the oldest conflict.
-        const std::uint32_t open_row = dram_.openRow(flat);
-        std::size_t read = kNone;
-        std::size_t write = kNone;
-        std::size_t conflict = kNone;
-        for (std::size_t i = 0; i < queue.size(); ++i) {
-            const Request &req = queue[i].req;
-            std::size_t &first = req.daddr.row != open_row ? conflict
-                                 : req.type == ReqType::Read ? read
-                                                             : write;
-            if (first == kNone)
-                first = i;
-            if (read != kNone && write != kNone && conflict != kNone)
-                break;
-        }
+        const std::uint32_t row = dram_.openRow(flat);
+        if (!slot.summaryValid || slot.summaryRow != row)
+            rebuildSummary(slot, bankQueues_[flat], row);
 
         // At the streak cap a hit yields to an older conflict, and a
         // conflict's PRE stops waiting for the queued hits.
-        const bool at_cap = hitStreak_[flat] >= config_.frfcfsCap;
-        for (const std::size_t hit : {read, write}) {
-            if (hit == kNone || (at_cap && conflict < hit))
+        const bool at_cap = slot.hitStreak >= config_.frfcfsCap;
+        Cycle wake = kNeverCycle;
+        for (const bool is_read : {true, false}) {
+            const Oldest &hit = is_read ? slot.read : slot.write;
+            if (hit.index == kNoIndex ||
+                (at_cap && slot.conflict.index < hit.index))
                 continue;
-            const Entry &entry = queue[hit];
-            const DramAddress &da = entry.req.daddr;
-            visit(Candidate{Command{hit == read ? CmdType::RD
-                                                : CmdType::WR,
-                                    da.rank, da.bankGroup, da.bank,
-                                    da.row, da.col},
-                            flat, static_cast<std::uint32_t>(hit),
-                            entry.seq});
+            const Cycle at = dram_.earliestCas(flat, row, is_read);
+            wake = std::min(wake, at);
+            visit(Candidate{is_read ? CmdType::RD : CmdType::WR, flat,
+                            hit.index, hit.seq, at});
         }
-        const bool any_hit = read != kNone || write != kNone;
-        if (conflict != kNone && (at_cap || !any_hit))
-            visit(Candidate{Command{CmdType::PRE, head.rank,
-                                    head.bankGroup, head.bank, 0, 0},
-                            flat, 0, queue[conflict].seq});
+        const bool any_hit = slot.read.index != kNoIndex ||
+                             slot.write.index != kNoIndex;
+        if (slot.conflict.index != kNoIndex && (at_cap || !any_hit)) {
+            const Cycle at = dram_.earliestPre(flat);
+            wake = std::min(wake, at);
+            visit(Candidate{CmdType::PRE, flat, slot.conflict.index,
+                            slot.conflict.seq, at});
+        }
+        slot.wake = wake;
     }
+    return skipped;
+}
+
+void
+MemoryController::rebuildSummary(BankSlot &slot,
+                                 const std::vector<Entry> &queue,
+                                 std::uint32_t row)
+{
+    slot.summaryRow = row;
+    slot.summaryValid = true;
+    slot.read = slot.write = slot.conflict = Oldest{};
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+        slot.note(queue[i].req, static_cast<std::uint32_t>(i),
+                  queue[i].seq);
+        if (slot.read.index != kNoIndex &&
+            slot.write.index != kNoIndex &&
+            slot.conflict.index != kNoIndex)
+            break;
+    }
+}
+
+Command
+MemoryController::commandFor(const Candidate &cand) const
+{
+    const DramAddress &da =
+        bankQueues_[cand.flatBank][cand.index].req.daddr;
+    const bool is_cas =
+        cand.type == CmdType::RD || cand.type == CmdType::WR;
+    return Command{cand.type, da.rank, da.bankGroup, da.bank,
+                   cand.type == CmdType::PRE ? 0 : da.row,
+                   is_cas ? da.col : 0};
 }
 
 bool
 MemoryController::tickDemand()
 {
     // FR-FCFS: the oldest legal row hit, else the oldest legal PRE or
-    // ACT.  Every declined candidate's legality instant feeds the
-    // next-work hint.
+    // ACT.  Every candidate not legal yet, and every bank skipped for
+    // its wake, bounds the next-work hint.
     Candidate hit{};
     Candidate row{};
     bool have_hit = false;
     bool have_row = false;
-    forEachDemandCandidate([&](const Candidate &cand) {
-        const Cycle at = dram_.earliestIssue(cand.cmd);
-        if (at > now_) {
-            demandHint_ = std::min(demandHint_, at);
+    const Cycle skipped = forEachDemandCandidate([&](const Candidate &cand) {
+        if (cand.at > now_) {
+            demandHint_ = std::min(demandHint_, cand.at);
             return;
         }
-        const bool is_cas = cand.cmd.type == CmdType::RD ||
-                            cand.cmd.type == CmdType::WR;
+        const bool is_cas =
+            cand.type == CmdType::RD || cand.type == CmdType::WR;
         Candidate &best = is_cas ? hit : row;
         bool &have = is_cas ? have_hit : have_row;
         if (!have || cand.seq < best.seq) {
@@ -406,23 +466,28 @@ MemoryController::tickDemand()
             have = true;
         }
     });
+    demandHint_ = std::min(demandHint_, skipped);
 
     if (have_hit) {
-        issueNow(hit.cmd);
-        ++hitStreak_[hit.flatBank];
-        bump(Stat::RowHits);
-        const Cycle done = hit.cmd.type == CmdType::RD
+        issueNow(commandFor(hit));
+        BankSlot &slot = slots_[hit.flatBank];
+        ++slot.hitStreak;
+        ++memStats_.rowHits;
+        const Cycle done = hit.type == CmdType::RD
                                ? now_ + spec_.timing.readLatency()
                                : now_ + spec_.timing.writeLatency();
         std::vector<Entry> &queue = bankQueues_[hit.flatBank];
         Entry entry = std::move(queue[hit.index]);
         queue.erase(queue.begin() + hit.index);
         --queued_;
+        slot.summaryValid = false;
         if (queue.empty()) {
-            const std::uint32_t slot = activeSlot_[hit.flatBank];
-            activeBanks_[slot] = activeBanks_.back();
-            activeSlot_[activeBanks_[slot]] = slot;
+            const std::uint32_t pos = activeSlot_[hit.flatBank];
+            activeBanks_[pos] = activeBanks_.back();
+            activeSlot_[activeBanks_[pos]] = pos;
             activeBanks_.pop_back();
+        } else {
+            slot.headSeq = queue.front().seq;
         }
         finishRequest(entry, done);
         return true;
@@ -430,13 +495,14 @@ MemoryController::tickDemand()
     if (!have_row)
         return false;
 
-    issueNow(row.cmd);
-    hitStreak_[row.flatBank] = 0;
-    if (row.cmd.type == CmdType::PRE) {
-        bump(Stat::RowConflicts);
+    const Command cmd = commandFor(row);
+    issueNow(cmd);
+    slots_[row.flatBank].hitStreak = 0;
+    if (cmd.type == CmdType::PRE) {
+        ++memStats_.rowConflicts;
     } else {
-        mitigation_->onActivate(row.flatBank, row.cmd.row, now_);
-        bump(Stat::RowMisses);
+        mitigation_->onActivate(row.flatBank, cmd.row, now_);
+        ++memStats_.rowMisses;
     }
     return true;
 }
@@ -449,24 +515,8 @@ MemoryController::tick()
     demandHint_ = kNeverCycle;
     maintHint_ = kNeverCycle;
 
-    // Deliver finished requests.
-    for (std::size_t i = 0; i < inFlight_.size();) {
-        if (inFlight_[i].doneAt <= now_) {
-            Entry entry = std::move(inFlight_[i].entry);
-            inFlight_[i] = std::move(inFlight_.back());
-            inFlight_.pop_back();
-            if (stats_ && entry.req.type == ReqType::Read) {
-                if (!readLatency_)
-                    readLatency_ =
-                        &stats_->histogram("mem.read_latency_ns");
-                readLatency_->sample(cyclesToNs(entry.req.latency()));
-            }
-            if (entry.req.onComplete)
-                entry.req.onComplete(entry.req);
-        } else {
-            ++i;
-        }
-    }
+    if (now_ >= nextDoneAt_)
+        deliverFinished();
 
     if (!maint_.active)
         startAboServiceIfNeeded();
@@ -510,12 +560,12 @@ MemoryController::tick()
     if (issued || demand_issued) {
         nextWorkCacheValid_ = false;
     } else {
-        // A tick that issued nothing already scanned every candidate
-        // the bound functions would scan: the declined commands'
-        // earliest-issue hints rebuild the cache with only O(inflight
-        // + ranks) glue instead of a second queue sweep.  The hints
-        // are absolute legality instants, so they remain exact at the
-        // incremented clock.
+        // A tick that issued nothing already bounded every candidate
+        // the bound functions would: the declined commands' earliest-
+        // issue instants and the skipped banks' wakes rebuild the
+        // cache with only O(ranks) glue instead of a second sweep.
+        // The hints are absolute lower bounds, so they remain valid
+        // at the incremented clock.
         nextWorkCache_ = composeNextWorkAt(demandHint_, maintHint_);
         nextWorkCacheValid_ = true;
         ++sched_.nextWorkHintRebuilds;
@@ -602,18 +652,18 @@ MemoryController::nextMaintenanceIssueAt() const
 Cycle
 MemoryController::nextDemandIssueAt() const
 {
-    // Demand: the earliest cycle at which any command tickDemand()
-    // would be willing to issue becomes legal under the DRAM timing
-    // state.  The candidates are the ones tickDemand() weighs, and
-    // what selects them -- queue content, open rows, hit streaks, the
-    // drain and Alert blocks -- is frozen while no command issues, so
-    // a candidate declined today stays declined until some other
-    // candidate fires first.
+    // Demand: a lower bound on the first cycle at which any command
+    // tickDemand() would be willing to issue becomes legal under the
+    // DRAM timing state -- the evaluated candidates' instants and the
+    // skipped banks' wakes.  The candidates are the ones tickDemand()
+    // weighs, and what selects them -- queue content, open rows, hit
+    // streaks, the drain and Alert blocks -- is frozen while no
+    // command issues, so a candidate declined today stays declined
+    // until some other candidate fires first.
     Cycle next = kNeverCycle;
-    forEachDemandCandidate([&](const Candidate &cand) {
-        next = std::min(next, dram_.earliestIssue(cand.cmd));
-    });
-    return next;
+    const Cycle skipped = forEachDemandCandidate(
+        [&next](const Candidate &cand) { next = std::min(next, cand.at); });
+    return std::min(next, skipped);
 }
 
 Cycle
@@ -644,18 +694,13 @@ Cycle
 MemoryController::composeNextWorkAt(Cycle demand_at,
                                     Cycle maint_at) const
 {
-    Cycle next = kNeverCycle;
-
     // Deliveries and the tREFW counter reset are absolute deadlines,
     // live in every controller state.  A delivery is an effect only
     // when someone can observe it -- a stats sink (latency histogram)
     // or a completion callback; the queue slot was already freed when
     // the CAS issued, so an unobserved flight (trace replay) needs no
     // wake-up and is collected lazily by a later tick.
-    for (const InFlight &flight : inFlight_)
-        if (stats_ || flight.entry.req.onComplete)
-            next = std::min(next, flight.doneAt);
-    next = std::min(next, prac_->nextCounterResetAt());
+    Cycle next = std::min(nextObservedDoneAt_, prac_->nextCounterResetAt());
 
     if (maint_.active) {
         // An active drain owns the command engine: the next effect

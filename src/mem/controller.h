@@ -117,6 +117,8 @@ struct SchedCounters
     std::uint64_t nextWorkCacheHits = 0; //!< nextWorkAt() cache hits
     std::uint64_t nextWorkRebuilds = 0;  //!< full computeNextWorkAt()
     std::uint64_t nextWorkHintRebuilds = 0; //!< cheap from tick hints
+    std::uint64_t banksEvaluated = 0; //!< banks whose candidates were
+                                      //!< computed (not wake-skipped)
 };
 
 /** One-channel memory controller. */
@@ -141,27 +143,27 @@ class MemoryController
     /**
      * Event-driven stepping: advance the clock to @p target, ticking
      * only on cycles where tick() could have an effect and jumping
-     * over the provably-dead cycles in between (nextWorkAt()).
-     * Behaviour and statistics are bit-identical to calling tick()
-     * target-now() times; the bound is cached between calls and
-     * invalidated by the only two state-mutating entry points --
-     * tick() and a successful enqueue() -- so a quiescent channel
-     * advances in O(1) per call instead of O(queue) per cycle.
+     * over the cycles before nextWorkAt().  Behaviour and statistics
+     * are bit-identical to calling tick() target-now() times; the
+     * bound is cached between calls and invalidated by the only two
+     * state-mutating entry points -- tick() and a successful
+     * enqueue() -- so a quiescent channel advances in O(1) per call.
      */
     void advanceTo(Cycle target);
 
     /**
-     * Earliest cycle >= now() at which tick() could have any effect:
-     * the first cycle a queued request's CAS/PRE/ACT becomes legal
-     * under the DRAM timing state, an in-flight completion, a refresh
-     * deadline, the defense's next maintenance deadline, the tREFW
-     * counter reset, or -- during an active RFM/REF drain -- the
-     * first cycle the drain's next PRE/RFM/REF command itself becomes
-     * legal (plus demand on the banks a per-rank/per-bank drain
-     * leaves schedulable).  Cycles strictly before the returned value
-     * are provably dead and may be skipped; exactness (never later
-     * than the first effective tick) is the contract the event-driven
-     * scheduler rests on -- see src/mem/DESIGN.md.
+     * A cycle >= now() no later than the first at which tick() could
+     * have any effect: the first cycle a queued request's CAS/PRE/ACT
+     * may become legal (a bank's wake bound, which can be early), an
+     * in-flight completion, a refresh deadline, the defense's next
+     * maintenance deadline, the tREFW counter reset, or -- during an
+     * active RFM/REF drain -- the first cycle the drain's next
+     * PRE/RFM/REF command itself becomes legal (plus demand on the
+     * banks a per-rank/per-bank drain leaves schedulable).  Cycles
+     * strictly before the returned value are provably dead and may
+     * be skipped.  Never late is the contract the event-driven
+     * scheduler rests on; early only costs a wasted tick -- see
+     * src/mem/DESIGN.md.
      */
     Cycle nextWorkAt() const;
 
@@ -228,6 +230,13 @@ class MemoryController
         std::uint64_t seq;      //!< age for FCFS ordering
     };
 
+    /** A request whose CAS issued, waiting for its done time. */
+    struct InFlight
+    {
+        Entry entry;
+        Cycle doneAt;
+    };
+
     /** Multi-cycle maintenance sequence (precharge-all then RFM/REF). */
     struct Maintenance
     {
@@ -240,13 +249,60 @@ class MemoryController
         std::uint32_t rfmsRemaining = 0;
     };
 
-    /** A demand command tickDemand() may issue this cycle. */
+    /**
+     * A demand command tickDemand() may issue, weighed without
+     * reading its request: the Command is built from the queue entry
+     * only for the winner (commandFor()).
+     */
     struct Candidate
     {
-        Command cmd;
+        CmdType type;
         std::uint32_t flatBank;
-        std::uint32_t index;    //!< position in the bank queue (CAS)
+        std::uint32_t index;    //!< position in the bank queue
         std::uint64_t seq;      //!< age of the request it serves
+        Cycle at;               //!< earliest legal cycle
+    };
+
+    static constexpr std::uint32_t kNoIndex = ~std::uint32_t{0};
+
+    /** The oldest queued request of one kind in a bank. */
+    struct Oldest
+    {
+        std::uint32_t index = kNoIndex; //!< position in the bank queue
+        std::uint64_t seq = 0;
+    };
+
+    /**
+     * The scheduler's per-bank state, one per flat bank.  The summary
+     * holds the bank's oldest read hit, oldest write hit and oldest
+     * conflict relative to summaryRow: enqueue() extends it in O(1),
+     * removing a request invalidates it, and forEachDemandCandidate()
+     * rebuilds it from the queue when it is invalid or the open row
+     * differs.  wake is a lower bound on the legality instant of
+     * every candidate the bank can offer until its queue grows or a
+     * PRE closes it (src/mem/DESIGN.md, "Wake bounds").
+     */
+    struct BankSlot
+    {
+        Cycle wake = 0;
+        std::uint64_t headSeq = 0;      //!< seq of the oldest request
+        Oldest read;
+        Oldest write;
+        Oldest conflict;
+        std::uint32_t summaryRow = 0;
+        bool summaryValid = false;
+        std::uint32_t hitStreak = 0;    //!< CAS since the last ACT/PRE
+
+        /** Fold in the request at @p index, younger than the rest. */
+        void
+        note(const Request &req, std::uint32_t index, std::uint64_t seq)
+        {
+            Oldest &first = req.daddr.row != summaryRow ? conflict
+                            : req.type == ReqType::Read ? read
+                                                        : write;
+            if (first.index == kNoIndex)
+                first = Oldest{index, seq};
+        }
     };
 
     void startAboServiceIfNeeded();
@@ -256,13 +312,15 @@ class MemoryController
     bool tickDemand();
 
     /**
-     * Call @p visit for each demand candidate, shared between
-     * tickDemand() and nextDemandIssueAt() so the scheduler and its
-     * fast-forward bound cannot drift.  Per bank the drains leave
-     * schedulable there are at most three: the oldest read hit and
+     * Call @p visit for each demand candidate of the banks no drain
+     * holds and whose wake bound is due, and return the smallest wake
+     * of the banks skipped for a wake still in the future.  Shared
+     * between tickDemand() and nextDemandIssueAt() so the scheduler
+     * and its fast-forward bound cannot drift.  Per evaluated bank
+     * there are at most three candidates: the oldest read hit and
      * the oldest write hit, each unless the bank's streak is at the
-     * cap and an older request conflicts (the starvation case the
-     * cap exists for); the oldest conflict's PRE, held below the cap
+     * cap and an older request conflicts (the starvation case the cap
+     * exists for); the oldest conflict's PRE, held below the cap
      * while a queued request still hits the open row (open-page
      * policy); or, on a closed bank, the oldest request's ACT unless
      * the ABOACT budget is spent.  Every other undeferred request of
@@ -270,49 +328,62 @@ class MemoryController
      * same cycle, and is younger (src/mem/DESIGN.md).
      */
     template <typename Visit>
-    void forEachDemandCandidate(Visit &&visit) const;
+    Cycle forEachDemandCandidate(Visit &&visit) const;
+
+    /** Locate @p slot's oldest hits and conflict relative to @p row. */
+    static void rebuildSummary(BankSlot &slot,
+                               const std::vector<Entry> &queue,
+                               std::uint32_t row);
+
+    /** The command @p cand stands for, built from its queue entry. */
+    Command commandFor(const Candidate &cand) const;
+
     /**
-     * Exact event bounds backing nextWorkAt().  Each returns the
-     * first cycle the corresponding tick path could issue a command,
-     * computed from the same predicates the tick path evaluates, so
-     * the scheduler and its bound cannot drift (the fast-forward
-     * exactness invariant, src/mem/DESIGN.md).
+     * Event bounds backing nextWorkAt().  Each returns a cycle no
+     * later than the first the corresponding tick path could issue a
+     * command, computed from the same predicates the tick path
+     * evaluates, so the scheduler and its bound cannot drift (the
+     * never-late invariant, src/mem/DESIGN.md).
      */
     Cycle nextMaintenanceIssueAt() const;
     Cycle nextDemandIssueAt() const;
     Cycle computeNextWorkAt() const;
     Cycle composeNextWorkAt(Cycle demand_at, Cycle maint_at) const;
 
-    /** Hot-path StatSet counters, resolved into statSlots_. */
-    enum class Stat : std::uint8_t
-    {
-        Reads,
-        Writes,
-        RowHits,
-        RowMisses,
-        RowConflicts,
-        Refreshes,
-        AboRfms,
-        AcbRfms,
-        TbRfms,
-        TbRfmsPb,
-        RandomRfms,
-        GrapheneRfms,
-        PbRfms,
-        Count
-    };
-
     bool issueOrTrack(const Command &cmd, Cycle &hint);
     void issueNow(const Command &cmd);
     void finishRequest(Entry &entry, Cycle done_at);
+    void trackFlight(const InFlight &flight);
+    void deliverFinished();
     void countRfm(RfmReason reason, bool per_bank);
 
-    /** Increment @p stat in stats_ (no-op without a StatSet). */
-    void bump(Stat stat);
+    /**
+     * Hot-path mem.* counters, resolved on first increment so stats
+     * dumps gain no zero-valued entries.
+     */
+    struct MemStats
+    {
+        explicit MemStats(StatSet *stats);
+
+        CounterHandle reads;
+        CounterHandle writes;
+        CounterHandle rowHits;
+        CounterHandle rowMisses;
+        CounterHandle rowConflicts;
+        CounterHandle refreshes;
+        CounterHandle aboRfms;
+        CounterHandle acbRfms;
+        CounterHandle tbRfms;
+        CounterHandle tbRfmsPb;
+        CounterHandle randomRfms;
+        CounterHandle grapheneRfms;
+        CounterHandle pbRfms;
+    };
 
     DramSpec spec_;
     ControllerConfig config_;
     StatSet *stats_;
+    MemStats memStats_;
     RequestTap *tap_ = nullptr;
     telemetry::BusObserver *bus_ = nullptr;
 
@@ -343,13 +414,20 @@ class MemoryController
     std::vector<std::uint32_t> activeSlot_;
     std::size_t queued_ = 0;
 
+    /** mutable: the const bound functions refresh summaries and wakes. */
+    mutable std::vector<BankSlot> slots_;
+
     /** Completed-in-future requests waiting for their done time. */
-    struct InFlight
-    {
-        Entry entry;
-        Cycle doneAt;
-    };
     std::vector<InFlight> inFlight_;
+
+    /**
+     * Earliest doneAt over every flight, and over the observable ones
+     * (a stats sink or a completion callback sees the delivery):
+     * tick() scans inFlight_ only once one is due, and
+     * composeNextWorkAt() reads the second without a scan.
+     */
+    Cycle nextDoneAt_ = kNeverCycle;
+    Cycle nextObservedDoneAt_ = kNeverCycle;
 
     std::vector<Cycle> nextRefreshAt_;
     Maintenance maint_;
@@ -365,7 +443,7 @@ class MemoryController
     /**
      * Earliest-issue bounds tracked as a free by-product of the tick
      * scans: when a tick issues nothing, the scans it ran anyway have
-     * already visited every candidate, so the next-work cache can be
+     * already bounded every candidate, so the next-work cache can be
      * rebuilt from these hints without a second sweep.
      */
     Cycle demandHint_ = kNeverCycle;
@@ -377,19 +455,9 @@ class MemoryController
     /** Cached &stats_->histogram("mem.queue_occupancy") (or null). */
     Histogram *queueOccupancy_ = nullptr;
 
-    /**
-     * Cached StatSet entries for per-command and per-delivery stats:
-     * a name-keyed lookup costs more than the event it counts, and
-     * names past the SSO limit allocate on every call.  Resolved on
-     * first increment, not here, so stats dumps gain no zero-valued
-     * entries.  Like queueOccupancy_, they rely on the StatSet never
-     * being reset under a live controller.
-     */
-    std::array<std::uint64_t *, static_cast<std::size_t>(Stat::Count)>
-        statSlots_{};
+    /** Cached mem.read_latency_ns, resolved on the first delivery. */
     Histogram *readLatency_ = nullptr;
 
-    std::vector<std::uint32_t> hitStreak_;
     std::array<std::uint64_t, kRfmReasonCount> rfmCounts_{};
 };
 

@@ -9,7 +9,8 @@ namespace pracleak {
 GrapheneMitigation::GrapheneMitigation(const GrapheneConfig &config,
                                        std::uint32_t num_banks,
                                        Cycle trefw, StatSet *stats)
-    : config_(config), stats_(stats), trefw_(trefw),
+    : config_(config),
+      triggersStat_(stats, "mit.graphene.triggers"), trefw_(trefw),
       nextResetAt_(trefw), tables_(num_banks)
 {
     if (config_.tableSize == 0 || config_.threshold == 0)
@@ -84,8 +85,7 @@ GrapheneMitigation::checkThreshold(std::uint32_t flat_bank,
     // Trigger: queue the bank for an RFMpb and restart the estimate.
     pending_.push_back(flat_bank);
     ++triggers_;
-    if (stats_)
-        ++stats_->counter("mit.graphene.triggers");
+    ++triggersStat_;
     return 0;
 }
 

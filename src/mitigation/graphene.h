@@ -97,7 +97,7 @@ class GrapheneMitigation : public Mitigation
                                  std::uint32_t count);
 
     GrapheneConfig config_;
-    StatSet *stats_;
+    CounterHandle triggersStat_;
     Cycle trefw_;
     Cycle nextResetAt_;
     std::vector<Table> tables_;

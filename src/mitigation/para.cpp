@@ -7,7 +7,8 @@ namespace pracleak {
 ParaMitigation::ParaMitigation(const ParaConfig &config,
                                std::uint32_t channel, PracEngine *prac,
                                StatSet *stats)
-    : config_(config), prac_(prac), stats_(stats),
+    : config_(config), prac_(prac),
+      refreshesStat_(stats, "mit.para.refreshes"),
       rng_(deriveRngStream(config.seed, channel))
 {
 }
@@ -20,8 +21,7 @@ ParaMitigation::onActivate(std::uint32_t flat_bank, std::uint32_t row,
         return;
     prac_->mitigateRow(flat_bank, row);
     ++refreshes_;
-    if (stats_)
-        ++stats_->counter("mit.para.refreshes");
+    ++refreshesStat_;
 }
 
 } // namespace pracleak

@@ -47,7 +47,7 @@ class ParaMitigation : public Mitigation
   private:
     ParaConfig config_;
     PracEngine *prac_;
-    StatSet *stats_;
+    CounterHandle refreshesStat_;
     Rng rng_;
     std::uint64_t refreshes_ = 0;
 };

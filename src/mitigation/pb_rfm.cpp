@@ -7,7 +7,8 @@ namespace pracleak {
 PbRfmMitigation::PbRfmMitigation(const PbRfmConfig &config,
                                  std::uint32_t num_banks,
                                  StatSet *stats)
-    : config_(config), stats_(stats), raa_(num_banks, 0)
+    : config_(config), triggersStat_(stats, "mit.pb_rfm.triggers"),
+      raa_(num_banks, 0)
 {
     if (config_.raaimt == 0)
         fatal("PB-RFM requires a non-zero RAAIMT");
@@ -22,8 +23,7 @@ PbRfmMitigation::onActivate(std::uint32_t flat_bank, std::uint32_t,
     raa_[flat_bank] -= config_.raaimt;
     pending_.push_back(flat_bank);
     ++triggers_;
-    if (stats_)
-        ++stats_->counter("mit.pb_rfm.triggers");
+    ++triggersStat_;
 }
 
 MaintenanceRequest

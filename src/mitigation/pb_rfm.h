@@ -63,7 +63,7 @@ class PbRfmMitigation : public Mitigation
 
   private:
     PbRfmConfig config_;
-    StatSet *stats_;
+    CounterHandle triggersStat_;
     std::vector<std::uint32_t> raa_;
     std::deque<std::uint32_t> pending_;  //!< banks owed an RFMpb
     std::uint64_t triggers_ = 0;

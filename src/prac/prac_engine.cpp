@@ -6,7 +6,11 @@ namespace pracleak {
 
 PracEngine::PracEngine(const DramSpec &spec,
                        const PracEngineConfig &config, StatSet *stats)
-    : spec_(spec), config_(config), stats_(stats),
+    : spec_(spec), config_(config),
+      counterResetsStat_(stats, "prac.counter_resets"),
+      alertsStat_(stats, "prac.alerts"),
+      mitigatedRowsStat_(stats, "prac.mitigated_rows"),
+      trefMitigationsStat_(stats, "prac.tref_mitigations"),
       counters_(spec.org.totalBanks()),
       refsPerRank_(spec.org.ranks, 0),
       trefRoundsPerRank_(spec.org.ranks, 0),
@@ -28,8 +32,7 @@ PracEngine::maybePeriodicReset(Cycle now)
     while (now >= nextCounterResetAt_) {
         counters_.resetAll();
         nextCounterResetAt_ += spec_.timing.tREFW;
-        if (stats_)
-            ++stats_->counter("prac.counter_resets");
+        ++counterResetsStat_;
     }
 }
 
@@ -47,8 +50,7 @@ PracEngine::raiseAlertIfNeeded(std::uint32_t bank, std::uint32_t row,
         lastAlertBank_ = bank;
         lastAlertRow_ = row;
         ++alerts_;
-        if (stats_)
-            ++stats_->counter("prac.alerts");
+        ++alertsStat_;
     }
 }
 
@@ -78,8 +80,7 @@ PracEngine::mitigateBank(std::uint32_t bank)
     counters_.reset(bank, *victim);
     policy_->onMitigated(bank, *victim);
     ++mitigatedRows_;
-    if (stats_)
-        ++stats_->counter("prac.mitigated_rows");
+    ++mitigatedRowsStat_;
 }
 
 void
@@ -88,8 +89,7 @@ PracEngine::mitigateRow(std::uint32_t flat_bank, std::uint32_t row)
     counters_.reset(flat_bank, row);
     policy_->onMitigated(flat_bank, row);
     ++mitigatedRows_;
-    if (stats_)
-        ++stats_->counter("prac.mitigated_rows");
+    ++mitigatedRowsStat_;
 }
 
 void
@@ -139,8 +139,7 @@ PracEngine::onRefresh(std::uint32_t rank, Cycle now)
     ++trefRoundsPerRank_[rank];
     lastTrefAtPerRank_[rank] = now;
     ++trefMitigations_;
-    if (stats_)
-        ++stats_->counter("prac.tref_mitigations");
+    ++trefMitigationsStat_;
 }
 
 std::uint64_t

@@ -130,7 +130,10 @@ class PracEngine : public DramListener
 
     DramSpec spec_;
     PracEngineConfig config_;
-    StatSet *stats_;
+    CounterHandle counterResetsStat_;
+    CounterHandle alertsStat_;
+    CounterHandle mitigatedRowsStat_;
+    CounterHandle trefMitigationsStat_;
 
     RowCounters counters_;
     std::unique_ptr<MitigationPolicy> policy_;

@@ -578,6 +578,7 @@ defenseMatrixPerf()
                 pair.design.sched.nextWorkRebuilds);
         row.set("nextwork_hint_rebuilds",
                 pair.design.sched.nextWorkHintRebuilds);
+        row.set("banks_evaluated", pair.design.sched.banksEvaluated);
         row.set("queue_occupancy",
                 parseJson(pair.design.queueOccupancy.toJson()));
         return std::vector<ResultRow>{std::move(row)};

@@ -140,9 +140,10 @@ replayTrace(const TraceData &trace, const ReplayOptions &options)
                     // Full queue: a blocked enqueue is side-effect-
                     // free, and slots only free on the controller's
                     // own effective ticks, so jump straight to its
-                    // next work instant, tick it there, and retry the
-                    // cycle after -- exactly the first cycle the
-                    // lockstep per-cycle retry could have succeeded.
+                    // next work bound, tick it there, and retry the
+                    // cycle after -- never later than the first cycle
+                    // the lockstep per-cycle retry could have
+                    // succeeded.
                     const Cycle work = mem.nextWorkAt();
                     if (work >= end) {
                         mem.advanceTo(end);

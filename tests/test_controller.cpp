@@ -2,14 +2,16 @@
  * @file
  * Integration tests for the memory controller: request service,
  * open-page behaviour and FR-FCFS deferrals, refresh cadence, the RFM
- * flows of every mitigation mode, and a golden digest of the
- * scheduler's command stream.
+ * flows of every mitigation mode, the events that reset a bank's
+ * wake bound, and a golden digest of the scheduler's command stream.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/harness.h"
@@ -442,6 +444,114 @@ TEST(Controller, RefreshDrainBlocksOnlyItsRank)
     // Stop before rank 1's refresh falls due at 2 * due.
     EXPECT_EQ(commandsOver(mem, due), expected);
     EXPECT_EQ(mem.queueDepth(), 0u);
+}
+
+/** A command and the cycle it issued on. */
+using TimedCommand = std::pair<std::string, Cycle>;
+
+/**
+ * Advance @p mem with the event clock for @p cycles and return the
+ * commands it issued to bank (0, 0, 0), with their cycles.
+ */
+std::vector<TimedCommand>
+bankZeroCommandsOver(MemoryController &mem, Cycle cycles)
+{
+    std::vector<TimedCommand> log;
+    mem.dram().setTraceSink([&log](const Command &cmd, Cycle at) {
+        if (cmd.rank == 0 && cmd.bankGroup == 0 && cmd.bank == 0)
+            log.emplace_back(cmd.str(), at);
+    });
+    mem.advanceTo(mem.now() + cycles);
+    mem.dram().setTraceSink(nullptr);
+    return log;
+}
+
+TEST(Controller, HitArrivingBehindHeldConflictIssuesWhenLegal)
+{
+    // Row 10 is opened and read, leaving only the row-20 conflict,
+    // whose PRE waits out tRAS.  A row-10 read hit that arrives
+    // meanwhile must issue on the first cycle its RD is legal, not
+    // when the conflict's PRE would have been.
+    DramSpec spec = specWith(1024);
+    spec.timing.tRAS = 2 * spec.timing.tRCD;
+    MemoryController mem(spec, directedConfig(4));
+    enqueueAt(mem, ReqType::Read, {0, 0, 0, 10, 0});
+    enqueueAt(mem, ReqType::Read, {0, 0, 0, 20, 0});
+    const std::vector<TimedCommand> opened =
+        bankZeroCommandsOver(mem, spec.timing.tRCD + 6);
+    ASSERT_EQ(opened.size(), 2u);
+    EXPECT_EQ(opened[1].first, "RD r0 bg0 b0 col0");
+
+    enqueueAt(mem, ReqType::Read, {0, 0, 0, 10, 1});
+    const Cycle rd_at = std::max(
+        mem.now(),
+        mem.dram().earliestIssue(Command{CmdType::RD, 0, 0, 0, 10, 1}));
+    const Cycle pre_at =
+        mem.dram().earliestIssue(Command{CmdType::PRE, 0, 0, 0, 0, 0});
+    ASSERT_LT(rd_at, pre_at); // the hit is legal before the PRE
+
+    const std::vector<TimedCommand> rest =
+        bankZeroCommandsOver(mem, 2000);
+    ASSERT_EQ(rest.size(), 4u);
+    EXPECT_EQ(rest[0], TimedCommand("RD r0 bg0 b0 col1", rd_at));
+    EXPECT_EQ(rest[1], TimedCommand("PRE r0 bg0 b0", pre_at));
+    EXPECT_EQ(rest[2].first, "ACT r0 bg0 b0 row20");
+    EXPECT_EQ(rest[3].first, "RD r0 bg0 b0 col0");
+}
+
+TEST(Controller, DrainedBankResumesAtItsActCycle)
+{
+    // A write opens bank 0 just before a maintenance drain and waits
+    // out a tRCD longer than the drain's PRE, REFab or RFMpb and
+    // recovery together.  The drain closes the bank while the write
+    // is queued; the bank must reactivate on the first cycle its ACT
+    // is legal, not when the write's CAS would have been.
+    for (const bool refresh : {true, false}) {
+        DramSpec spec = specWith(1024);
+        spec.timing.tRCD = 2 * spec.timing.tRFC;
+        ControllerConfig config = directedConfig(4);
+        Cycle drain_at = 1000;
+        if (refresh) {
+            config.refreshEnabled = true;
+            drain_at = spec.timing.tREFI / spec.org.ranks;
+        } else {
+            // TPRAC-PB's first RFMpb targets flat bank 0.
+            config.mitigation = "tprac";
+            config.tbRfm.perBank = true;
+            config.tbRfm.windowCycles =
+                drain_at * spec.org.totalBanks();
+        }
+        MemoryController mem(spec, config);
+        mem.run(drain_at - 8);
+        enqueueAt(mem, ReqType::Write, {0, 0, 0, 10, 0});
+
+        // The ACT's legal cycle once the drain's REFab/RFMpb issued.
+        Cycle act_at = kNeverCycle;
+        std::vector<TimedCommand> log;
+        mem.dram().setTraceSink([&](const Command &cmd, Cycle at) {
+            if (cmd.rank != 0 || cmd.bankGroup != 0 || cmd.bank != 0)
+                return;
+            log.emplace_back(cmd.str(), at);
+            if (cmd.type == CmdType::REFab || cmd.type == CmdType::RFMpb)
+                act_at = mem.dram().earliestIssue(
+                    Command{CmdType::ACT, 0, 0, 0, 10, 0});
+        });
+        while (log.size() < 4 && mem.now() < drain_at + spec.timing.tRCD)
+            mem.advanceTo(mem.now() + 1);
+        mem.dram().setTraceSink(nullptr);
+
+        const std::string label = refresh ? "refresh" : "RFMpb";
+        ASSERT_EQ(log.size(), 4u) << label;
+        EXPECT_EQ(log[0].first, "ACT r0 bg0 b0 row10") << label;
+        EXPECT_EQ(log[1].first, "PRE r0 bg0 b0") << label;
+        EXPECT_EQ(log[2].first,
+                  refresh ? "REFab r0 bg0 b0" : "RFMpb r0 bg0 b0")
+            << label;
+        EXPECT_EQ(log[3], TimedCommand("ACT r0 bg0 b0 row10", act_at))
+            << label;
+        // The premise: the write's CAS was bounded past that ACT.
+        EXPECT_LT(act_at, log[0].second + spec.timing.tRCD) << label;
+    }
 }
 
 /** 64-bit FNV-1a over little-endian words. */
